@@ -44,6 +44,7 @@ from .moduli import classify_profiles, scan_family
 from .scalar import FieldMismatchError
 from .search import (
     Chain,
+    SearchCache,
     free_additions,
     free_deletions,
     is_inductively_free,
@@ -174,11 +175,10 @@ def _cmd_recursive(args) -> dict:
 
 def _cmd_additions(args) -> dict:
     A = _load_input(args.input)
-    lat = compute_lattice(A)
-    lines = free_additions(A, lat)
+    cache = SearchCache()
     entries = []
-    for line in lines:
-        r = is_free(A.add(line))
+    for line in free_additions(A, compute_lattice(A), cache):
+        r = cache.is_free(A.add(line))
         entries.append({"line": encode_line(line), "exponents": list(r.exponents)})
     return {"count": len(entries), "additions": entries}
 

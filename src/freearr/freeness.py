@@ -21,6 +21,7 @@ from typing import Optional, Sequence
 from .geometry import Arrangement, Line, Point, meet
 from .lattice import (
     CharPoly,
+    Counts,
     LatticeData,
     char_poly,
     compute_lattice,
@@ -221,7 +222,7 @@ def _exceeds_min_root(n: int, s: int, p: int) -> bool:
 
 
 def abt_test(
-    A: Arrangement, L: LatticeData, c: CharPoly
+    A: Arrangement, L: Counts, c: CharPoly
 ) -> Optional[FreenessResult]:
     """Pivot test: a line with n > min root decides freeness outright.
 
@@ -566,7 +567,7 @@ def saito_verify_rank2(M: MultiArr2, theta1: Derivation2, theta2: Derivation2) -
 # Yoshinaga criterion and pipeline
 
 
-def default_restriction_line(L: LatticeData, A: Arrangement) -> int:
+def default_restriction_line(L: Counts, A: Arrangement) -> int:
     """The line maximizing n_{A,H}, ties broken by canonical line order."""
     best = None
     for h in range(len(A)):
@@ -599,8 +600,12 @@ def yoshinaga_test(A: Arrangement, c: CharPoly, h: int) -> FreenessResult:
     return FreenessResult("nonfree", "yoshinaga", None, witness)
 
 
-def is_free(A: Arrangement, lat: Optional[LatticeData] = None) -> FreenessResult:
-    """Deterministic pipeline: chi gate, then pivot test, then restriction."""
+def is_free(A: Arrangement, lat: Optional[Counts] = None) -> FreenessResult:
+    """Deterministic pipeline: chi gate, then pivot test, then restriction.
+
+    The pipeline reads only ``nlines``, ``mu_total`` and ``n_by_line`` of
+    ``lat``, so ``IncidenceCounts`` stand in for a full lattice.
+    """
     n = len(A)
     if n == 0:
         return FreenessResult("free", "chi_gate", (0, 0, 0), {"empty": True})

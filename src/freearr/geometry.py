@@ -165,7 +165,7 @@ class Arrangement:
         return self.lines[i]
 
     def __contains__(self, line: Line) -> bool:
-        return line in set(self.lines)
+        return line in self.lines
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Arrangement):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .geometry import Arrangement, Line, Point, meet
 from .scalar import FieldCtx
@@ -18,9 +18,11 @@ from .scalar import FieldCtx
 __all__ = [
     "FlatPoint",
     "LatticeData",
+    "IncidenceCounts",
     "CharPoly",
     "compute_lattice",
     "extend_lattice",
+    "addition_counts",
     "restrict_lattice",
     "char_poly",
     "char_poly_from_mu",
@@ -117,6 +119,21 @@ class LatticeData:
         )
 
 
+class IncidenceCounts(NamedTuple):
+    """The integers the freeness pipeline reads from a lattice.
+
+    ``LatticeData`` carries the same three attributes, so either one can be
+    handed to ``is_free``.
+    """
+
+    nlines: int
+    mu_total: int
+    n_by_line: tuple[int, ...]
+
+
+Counts = Union[LatticeData, IncidenceCounts]
+
+
 def compute_lattice(A: Arrangement) -> LatticeData:
     """Group all pairwise meets of A into flats."""
     n = len(A)
@@ -155,6 +172,27 @@ def extend_lattice(lat: LatticeData, A: Arrangement, line: Line) -> LatticeData:
     return LatticeData(
         n + 1, [FlatPoint(p, tuple(sorted(s))) for p, s in by_point.items()]
     )
+
+
+def addition_counts(lat: LatticeData, on: Sequence[int]) -> IncidenceCounts:
+    """Counts of A + L from the lattice of A, for a line L not in A.
+
+    ``on`` indexes the flat points of A that lie on L.  A line of A passes
+    through at most one of them, and L meets each line of A through none of
+    them in a new double point, so n_{A+L,L} = |on| + |A| - sum of m_q over
+    q in on, where m_q is the number of lines through q.  An old line gains
+    one point exactly when it passes through no point of ``on``, and by
+    deletion-restriction mu(A + L) = mu(A) + n_{A+L,L} (Orlik-Terao 1992,
+    section 2.3).
+    """
+    covered: set[int] = set()
+    for k in on:
+        covered.update(lat.points[k].incident)
+    n_new = len(on) + lat.nlines - len(covered)
+    n_by_line = tuple(
+        n if h in covered else n + 1 for h, n in enumerate(lat.n_by_line)
+    )
+    return IncidenceCounts(lat.nlines + 1, lat.mu_total + n_new, n_by_line + (n_new,))
 
 
 def restrict_lattice(lat: LatticeData, index: int) -> LatticeData:
@@ -208,7 +246,7 @@ def char_poly_from_mu(nlines: int, mu: int) -> CharPoly:
     return CharPoly(nlines, mu)
 
 
-def char_poly(A: Arrangement, lat: Optional[LatticeData] = None) -> CharPoly:
+def char_poly(A: Arrangement, lat: Optional[Counts] = None) -> CharPoly:
     """chi(A,t) = (t-1){t^2 - (|A|-1)(t+1) + mu_A}."""
     if len(A) == 0:
         raise ValueError("empty arrangement has no characteristic polynomial here")
@@ -375,7 +413,10 @@ def lattice_automorphisms(L: LatticeData) -> AutomorphismGroup:
     # verify every generator preserves the flat family
     flat_set = set(flats)
     for g in generators:
-        assert {frozenset(g[i] for i in f) for f in flats} == flat_set
+        if {frozenset(g[i] for i in f) for f in flats} != flat_set:
+            raise RuntimeError(
+                f"internal check failed: generator {g} does not preserve the flats"
+            )
     return AutomorphismGroup(order=order, generators=tuple(generators))
 
 

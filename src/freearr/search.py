@@ -16,9 +16,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .freeness import FreenessResult, is_free
-from .geometry import Arrangement, GeometryError, Line, Point, join
+from .geometry import Arrangement, Line, Point, join
 from .lattice import (
+    Counts,
     LatticeData,
+    addition_counts,
     compute_lattice,
     extend_lattice,
     restrict_lattice,
@@ -98,7 +100,7 @@ class SearchCache:
         self.freeness: dict = {}
         self.inductive: dict = {}
 
-    def is_free(self, A: Arrangement, lat: Optional[LatticeData] = None) -> FreenessResult:
+    def is_free(self, A: Arrangement, lat: Optional[Counts] = None) -> FreenessResult:
         key = A.canonical_key()
         hit = self.freeness.get(key)
         if hit is None:
@@ -193,6 +195,27 @@ def _generic_representative(A: Arrangement, lat: LatticeData) -> Line:
     raise SearchError("unreachable")
 
 
+def _addition_candidates(A: Arrangement, lat: LatticeData) -> dict[Line, set[int]]:
+    """Candidate lines not in A, in scan order, each with the flat points on it."""
+    candidates: dict[Line, set[int]] = {}
+    pts = [fp.point for fp in lat.points]
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            on = candidates.setdefault(join(pts[i], pts[j]), set())
+            on.add(i)
+            on.add(j)
+    for line in A:
+        candidates.pop(line, None)
+    if not A.ctx.parametric:
+        for k, P in enumerate(pts):
+            rep = _pencil_representative(A, lat, P)
+            if rep is not None:
+                candidates.setdefault(rep, {k})
+        if len(A) >= 1 and pts:
+            candidates.setdefault(_generic_representative(A, lat), set())
+    return candidates
+
+
 def free_additions(
     A: Arrangement,
     lat: Optional[LatticeData] = None,
@@ -206,38 +229,21 @@ def free_additions(
     representative — its verdict holds for the whole pencil stratum since the
     stratum has constant intersection data; (iii) one fully generic line.
     Over a parametric field only stratum (i) is scanned.
+
+    Each candidate is decided from counts, without a lattice for A + L.  The
+    flat points on a stratum-(i) line are exactly the union of the pairs that
+    join to it, since any two flat points on it join to it; a pencil
+    representative passes through its own point only, and the generic line
+    through none.  With ``on`` that set, n_{A+L,L} = |on| + |A| - sum of m_q
+    over q in on, and mu(A + L) = mu(A) + n_{A+L,L} (``addition_counts``).
     """
     cache = cache or SearchCache()
     if lat is None:
         lat = compute_lattice(A)
     _require_free(A, cache, lat)
-    candidates: list[Line] = []
-    seen: set[Line] = set(A.lines)
-    pts = [fp.point for fp in lat.points]
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            try:
-                cand = join(pts[i], pts[j])
-            except GeometryError:
-                continue
-            if cand not in seen:
-                seen.add(cand)
-                candidates.append(cand)
-    if not A.ctx.parametric:
-        for fp in lat.points:
-            rep = _pencil_representative(A, lat, fp.point)
-            if rep is not None and rep not in seen:
-                seen.add(rep)
-                candidates.append(rep)
-        if len(A) >= 1 and pts:
-            rep = _generic_representative(A, lat)
-            if rep not in seen:
-                seen.add(rep)
-                candidates.append(rep)
     out: list[Line] = []
-    for cand in candidates:
-        bigger = A.add(cand)
-        r = cache.is_free(bigger, extend_lattice(lat, A, cand))
+    for cand, on in _addition_candidates(A, lat).items():
+        r = cache.is_free(A.add(cand), addition_counts(lat, on))
         if r.is_free:
             out.append(cand)
     return out
@@ -305,9 +311,8 @@ def _chain_from_moves(
 def verify_chain(chain: Chain) -> bool:
     """Independently re-verify every stage of a chain with fresh freeness runs."""
     cur = chain.start
-    if not is_free(cur).is_free:
-        return False
-    if is_free(cur).exponents != chain.stages[0]:
+    r = is_free(cur)
+    if not r.is_free or r.exponents != chain.stages[0]:
         return False
     for mv, expected in zip(chain.moves, chain.stages[1:]):
         if mv.kind == "add":

@@ -67,6 +67,30 @@ class TestReports:
         obj = run_json(capsys, "deletions", "catalog:eleven_if")
         assert obj["count"] >= 1
 
+    def test_additions_dual_hesse_bytes(self, capsys):
+        # the twelve free additions, each through four triple points
+        lines = [
+            ["1", {"a": "1/2", "b": "-1/2"}, "0"],
+            ["1", "-1", "0"],
+            ["1", "0", {"a": "-1/2", "b": "1/2"}],
+            ["1", "0", {"a": "-1/2", "b": "-1/2"}],
+            ["0", "1", {"a": "-1/2", "b": "-1/2"}],
+            ["1", {"a": "0", "b": "-1/3"}, {"a": "-1/2", "b": "1/6"}],
+            ["1", "1", "-1"],
+            ["1", {"a": "-1/2", "b": "-1/2"}, {"a": "1/2", "b": "1/2"}],
+            ["1", {"a": "1/2", "b": "-1/2"}, {"a": "-3/2", "b": "1/2"}],
+            ["0", "1", {"a": "-1/2", "b": "1/2"}],
+            ["1", {"a": "0", "b": "-1"}, {"a": "-1/2", "b": "1/2"}],
+            ["1", {"a": "-1/2", "b": "-1/2"}, "-1"],
+        ]
+        expected = {
+            "count": 12,
+            "additions": [{"line": line, "exponents": [1, 4, 5]} for line in lines],
+        }
+        code, out = run(capsys, "additions", "catalog:dual_hesse")
+        assert code == 0
+        assert out == json.dumps(expected, indent=2) + "\n"
+
     def test_aut(self, capsys):
         obj = run_json(capsys, "aut", "catalog:family13?lambda=3")
         assert obj["order"] == 18

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from freearr.catalog import dual_hesse, eleven_if, family13, family15, g443, pentagonal
+from freearr import lattice
 from freearr.geometry import Arrangement, Line, cone
 from freearr.lattice import (
     CharPoly,
@@ -220,6 +221,15 @@ class TestAutomorphisms:
                         nxt.append(q)
             frontier = nxt
         assert len(group) == g.order
+
+    def test_corrupted_generator_raises(self, monkeypatch):
+        # flats {x, y, x+y} at (0:0:1) and {y, z, y+z} at (1:0:0)
+        A = Arrangement(RATIONAL, [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (0, 1, 1)])
+        lat = compute_lattice(A)
+        swap_x_y = {0: 1, 1: 0, 2: 2, 3: 3, 4: 4}  # sends {y, z, y+z} to no flat
+        monkeypatch.setattr(lattice, "_support_maps", lambda *args: [swap_x_y])
+        with pytest.raises(RuntimeError, match="does not preserve the flats"):
+            lattice_automorphisms(lat)
 
 
 class TestIsomorphism:

@@ -16,14 +16,18 @@ from freearr.catalog import (
     pentagonal,
 )
 from freearr.freeness import is_free
-from freearr.geometry import Arrangement, Line, cone
-from freearr.lattice import compute_lattice, extend_lattice
-from freearr.scalar import RATIONAL, FieldCtx, QuadElem
+from freearr.geometry import Arrangement, Line, cone, join
+from freearr.lattice import addition_counts, compute_lattice, extend_lattice
+from freearr.moduli import Family
+from freearr.scalar import RATIONAL, FieldCtx, Poly, QuadElem
 from freearr.search import (
     Chain,
     Move,
     SearchCache,
     SearchError,
+    _addition_candidates,
+    _generic_representative,
+    _pencil_representative,
     free_additions,
     free_deletions,
     is_inductively_free,
@@ -121,6 +125,103 @@ class TestFreeAdditions:
         bad = Arrangement(RATIONAL, [(1, 0, 0), (0, 1, 0), (1, 1, 1), (1, -1, 2)])
         with pytest.raises(SearchError):
             free_additions(bad, cache=cache)
+
+
+def _reference_candidate_verdicts(A, lat):
+    """The candidate loop of free_additions as a slow oracle.
+
+    Enumerates the strata with a seen-set and decides each candidate by
+    building the full lattice of A + L with extend_lattice, then is_free.
+    """
+    seen = set(A.lines)
+    candidates = []
+    pts = [fp.point for fp in lat.points]
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            cand = join(pts[i], pts[j])
+            if cand not in seen:
+                seen.add(cand)
+                candidates.append(cand)
+    if not A.ctx.parametric:
+        for fp in lat.points:
+            rep = _pencil_representative(A, lat, fp.point)
+            if rep is not None and rep not in seen:
+                seen.add(rep)
+                candidates.append(rep)
+        if len(A) >= 1 and pts:
+            rep = _generic_representative(A, lat)
+            if rep not in seen:
+                seen.add(rep)
+                candidates.append(rep)
+    return [
+        (cand, is_free(A.add(cand), extend_lattice(lat, A, cand)))
+        for cand in candidates
+    ]
+
+
+def braid_with_moving_line() -> Arrangement:
+    """A free 7-line arrangement over Q(t): x, y, z, x - y, x - tz, y - tz and
+    x + y - 2tz, the last three meeting x - y in (t : t : 1)."""
+    ctx = FieldCtx(None, True)
+    triples = [
+        ([1], [0], [0]),
+        ([0], [1], [0]),
+        ([0], [0], [1]),
+        ([1], [-1], [0]),
+        ([1], [0], [0, -1]),
+        ([0], [1], [0, -1]),
+        ([1], [1], [0, -2]),
+    ]
+    fam = Family(
+        name="braid_t",
+        ctx=ctx,
+        triples=tuple(
+            tuple(Poly.from_rationals(ctx, cs) for cs in tri) for tri in triples
+        ),
+    )
+    return fam.arrangement()
+
+
+ORACLE_INPUTS = {
+    "dual_hesse": dual_hesse,
+    "pentagonal": pentagonal,
+    "g443": g443,
+    "eleven_if": eleven_if,
+    "family13(3)": lambda: family13(3),
+    "family15(2)": lambda: family15(2),
+    "braid_with_moving_line": braid_with_moving_line,
+}
+
+
+class TestCountBasedAdditions:
+    """free_additions decides candidates from counts; check it against lattices."""
+
+    @pytest.mark.parametrize("name", list(ORACLE_INPUTS))
+    def test_matches_lattice_oracles(self, name):
+        A = ORACLE_INPUTS[name]()
+        lat = compute_lattice(A)
+        reference = _reference_candidate_verdicts(A, lat)
+        candidates = _addition_candidates(A, lat)
+        assert list(candidates) == [cand for cand, _ in reference]
+        for (cand, expected), on in zip(reference, candidates.values()):
+            # the flat points on the candidate, found by direct incidence
+            assert on == {
+                k for k, fp in enumerate(lat.points) if cand.eval_at(fp.point).is_zero()
+            }
+            B = A.add(cand)
+            counts = addition_counts(lat, on)
+            fresh = compute_lattice(B)
+            assert counts == (fresh.nlines, fresh.mu_total, fresh.n_by_line)
+            assert is_free(B, counts) == expected
+        assert free_additions(A, lat) == [cand for cand, r in reference if r.is_free]
+
+    def test_parametric_scans_joins_only(self):
+        A = braid_with_moving_line()
+        lat = compute_lattice(A)
+        assert is_free(A, lat).exponents == (1, 3, 3)
+        candidates = _addition_candidates(A, lat)
+        assert all(len(on) >= 2 for on in candidates.values())
+        assert 0 < len(free_additions(A, lat)) < len(candidates)
 
 
 class TestInductivelyFree:
@@ -226,6 +327,12 @@ class TestVerifyChain:
         ch = is_inductively_free(triangle(), cache=cache)
         bad = Chain(ch.start, ch.moves, ch.stages[:-1] + ((9, 9, 9),))
         assert not verify_chain(bad)
+
+    def test_tampered_start_fails(self, cache):
+        ch = is_inductively_free(triangle(), cache=cache)
+        assert not verify_chain(Chain(ch.start, ch.moves, ((9, 9, 9),) + ch.stages[1:]))
+        bad = Arrangement(RATIONAL, [(1, 0, 0), (0, 1, 0), (1, 1, 1), (1, -1, 2)])
+        assert not verify_chain(Chain(bad, (), ((1, 1, 2),)))
 
     def test_tampered_move_fails(self, cache):
         ch = is_inductively_free(triangle(), cache=cache)
