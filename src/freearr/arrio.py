@@ -17,21 +17,28 @@ infinity line z = 0 is appended).
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Union
 
 from .geometry import Arrangement, Line, cone
-from .scalar import FieldCtx, FieldMismatchError, Poly, QuadElem, RatFn, Scalar
+from .scalar import FieldCtx, Poly, QuadElem, RatFn, Scalar, squarefree_decompose
 
 __all__ = [
     "ArrIOError",
     "encode_scalar",
     "decode_scalar",
+    "encode_field",
     "encode_arrangement",
     "decode_arrangement",
     "encode_line",
     "parse_param",
 ]
+
+
+MAX_PARAM_CHARS = 200
+MAX_RADICAND = 10**12  # squarefree_decompose trial-divides up to its square root
+_PARAM_TEXT = re.compile(r"(?:[0-9.+\-*/()\s]|sqrt|I)*")
 
 
 class ArrIOError(ValueError):
@@ -101,6 +108,8 @@ def decode_arrangement(obj: dict) -> Arrangement:
     disc = fld.get("sqrt")
     if disc is not None and not isinstance(disc, int):
         raise ArrIOError("'sqrt' must be an integer")
+    if disc is not None and abs(disc) > MAX_RADICAND:
+        raise ArrIOError(f"'sqrt' must be at most {MAX_RADICAND} in absolute value")
     ctx = FieldCtx(disc, bool(fld.get("param", False)))
     triples = []
     for raw in obj["lines"]:
@@ -119,19 +128,33 @@ def encode_line(line: Line) -> list:
     return [encode_scalar(c) for c in line.coeffs]
 
 
+def encode_field(ctx: FieldCtx) -> dict:
+    """The ``field`` object of the arrangement format."""
+    fld: dict = {"param": ctx.parametric}
+    if ctx.disc is not None:
+        fld["sqrt"] = ctx.disc
+    return fld
+
+
 def encode_arrangement(A: Arrangement) -> dict:
     """JSON object form of an arrangement (always homogeneous)."""
-    fld: dict = {"param": A.ctx.parametric}
-    if A.ctx.disc is not None:
-        fld["sqrt"] = A.ctx.disc
-    return {"field": fld, "lines": [encode_line(l) for l in A.lines]}
+    return {"field": encode_field(A.ctx), "lines": [encode_line(l) for l in A.lines]}
 
 
 def parse_param(text: str) -> QuadElem:
     """Parse a parameter value like "3", "-1/2", "sqrt(-1)", "(1+sqrt(5))/2".
 
-    The value must lie in Q or a quadratic extension Q(sqrt(d)).
+    The value must lie in Q or a quadratic extension Q(sqrt(d)).  The text
+    may hold only digits, ``.``, ``+ - * / ( )``, whitespace, ``sqrt`` and
+    ``I``, with no power operator and at most ``MAX_PARAM_CHARS`` characters;
+    anything else is rejected before sympy sees it.
     """
+    if len(text) > MAX_PARAM_CHARS:
+        raise ArrIOError(f"parameter text longer than {MAX_PARAM_CHARS} characters")
+    if not _PARAM_TEXT.fullmatch(text) or re.search(r"\*\s*\*", text):
+        raise ArrIOError(
+            f"cannot parse parameter {text!r}: use digits, . + - * / ( ), sqrt(...) and I"
+        )
     import sympy
 
     try:
@@ -139,7 +162,6 @@ def parse_param(text: str) -> QuadElem:
         expr = sympy.expand(expr)
     except (sympy.SympifyError, SyntaxError, TypeError) as e:
         raise ArrIOError(f"cannot parse parameter {text!r}") from e
-    from .scalar import squarefree_decompose
 
     a, b, rad = Fraction(0), Fraction(0), None
     terms = expr.as_ordered_terms() if expr.is_Add else [expr]
@@ -162,6 +184,8 @@ def parse_param(text: str) -> QuadElem:
         # sqrt(p/q) = sqrt(p*q)/q; i*sqrt(p) = sqrt(-p)
         c = Fraction(coeff.p, coeff.q) / radicand.denominator
         n = radicand.numerator * radicand.denominator
+        if n > MAX_RADICAND:
+            raise ArrIOError(f"parameter {text!r} has a square root larger than {MAX_RADICAND}")
         if has_i:
             n = -n
         s, d = squarefree_decompose(n)

@@ -18,9 +18,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
+from .freeness import is_free
 from .geometry import Arrangement, cone
+from .lattice import compute_lattice, lattice_isomorphic
 from .moduli import Family
-from .scalar import FieldCtx, FieldMismatchError, Poly, QuadElem
+from .scalar import FieldCtx, Poly, QuadElem
+from .search import is_inductively_free
 
 __all__ = [
     "CatalogError",
@@ -339,10 +342,6 @@ def catalog_family(name: str) -> Family:
 
 def catalog_selfcheck(name: str, param: Optional[Param] = None) -> dict:
     """Recompute size/profile/exponents/class and compare to expectations."""
-    from .freeness import is_free
-    from .lattice import compute_lattice, char_poly, lattice_isomorphic
-    from .search import is_inductively_free
-
     entry = _entry(name)
     A = catalog_get(name, param) if entry.parametric else catalog_get(name)
     lat = compute_lattice(A)

@@ -20,6 +20,7 @@ from .arrio import (
     ArrIOError,
     decode_arrangement,
     encode_arrangement,
+    encode_field,
     encode_line,
     encode_scalar,
     parse_param,
@@ -32,7 +33,7 @@ from .catalog import (
     catalog_names,
     catalog_selfcheck,
 )
-from .freeness import is_free, multi_exponents, s_membership, ziegler_restriction
+from .freeness import is_free, s_membership
 from .geometry import Arrangement
 from .lattice import (
     char_poly,
@@ -59,6 +60,15 @@ EXIT_PARSE = 2
 EXIT_FIELD = 3
 EXIT_SELFCHECK = 4
 EXIT_NOT_DRAWABLE = 5
+
+# The most specific class in an exception's MRO picks its exit code.
+_EXIT_CODES = {
+    CatalogMismatchError: EXIT_SELFCHECK,
+    FieldMismatchError: EXIT_FIELD,
+    NotDrawableError: EXIT_NOT_DRAWABLE,
+    CatalogError: EXIT_PARSE,
+    ValueError: EXIT_PARSE,
+}
 
 
 def _load_input(spec: str) -> Arrangement:
@@ -93,29 +103,21 @@ def _chain_json(chain: Optional[Chain]) -> Optional[dict]:
     }
 
 
-def _field_json(A: Arrangement) -> dict:
-    fld: dict = {"param": A.ctx.parametric}
-    if A.ctx.disc is not None:
-        fld["sqrt"] = A.ctx.disc
-    return fld
-
-
 def _freeness_json(A: Arrangement, lat) -> dict:
     r = is_free(A, lat=lat)
     out: dict = {
         "verdict": r.verdict,
         "route": r.route,
         "exponents": list(r.exponents) if r.exponents else None,
-        "witness": {k: v for k, v in r.witness.items()},
+        "witness": dict(r.witness),
         "anomaly": r.anomaly,
     }
-    if r.route == "yoshinaga" and "restriction" in r.witness:
-        pair = multi_exponents(ziegler_restriction(A, r.witness["restriction"]))
-        if pair.witness is not None:
-            out["witness"]["derivation_e1"] = {
-                "f_u": [encode_scalar(c) for c in pair.witness.f_u],
-                "f_v": [encode_scalar(c) for c in pair.witness.f_v],
-            }
+    pair = r.restriction_pair
+    if pair is not None and pair.witness is not None:
+        out["witness"]["derivation_e1"] = {
+            "f_u": [encode_scalar(c) for c in pair.witness.f_u],
+            "f_v": [encode_scalar(c) for c in pair.witness.f_v],
+        }
     if r.is_free:
         out["s_membership"] = s_membership(A, lat, r)
     return out
@@ -127,7 +129,7 @@ def _cmd_analyze(args) -> dict:
     c = char_poly(A, lat)
     return {
         "size": len(A),
-        "field": _field_json(A),
+        "field": encode_field(A.ctx),
         "profile": list(lat.profile),
         "points": [
             {
@@ -362,18 +364,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         result = _HANDLERS[args.command](args)
-    except (CatalogError, CatalogMismatchError, ValueError) as e:
-        if isinstance(e, CatalogMismatchError):
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_SELFCHECK
-        if isinstance(e, FieldMismatchError):
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_FIELD
-        if isinstance(e, NotDrawableError):
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_NOT_DRAWABLE
+    except tuple(_EXIT_CODES) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
+        return next(_EXIT_CODES[c] for c in type(e).__mro__ if c in _EXIT_CODES)
     if isinstance(result, str):
         sys.stdout.write(result)
     elif getattr(args, "md", False):

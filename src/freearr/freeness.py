@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .geometry import Arrangement, Line, Point, meet
+from .geometry import Arrangement, Point, meet, orthogonal_pair
 from .lattice import (
     CharPoly,
     Counts,
@@ -27,7 +27,7 @@ from .lattice import (
     compute_lattice,
     exponents_from_charpoly,
 )
-from .scalar import FieldCtx, Scalar
+from .scalar import FieldCtx, Poly, QuadElem, Scalar
 
 __all__ = [
     "FreenessError",
@@ -172,7 +172,7 @@ class Derivation2:
     def degree(self) -> int:
         return len(self.f_u) - 1
 
-    def applied_to(self, ctx: FieldCtx, p: Scalar, q: Scalar) -> tuple[Scalar, ...]:
+    def applied_to(self, p: Scalar, q: Scalar) -> tuple[Scalar, ...]:
         """theta(p*u + q*v) = p*f_u + q*f_v."""
         return tuple(p * a + q * b for a, b in zip(self.f_u, self.f_v))
 
@@ -198,6 +198,7 @@ class FreenessResult:
     exponents: Optional[tuple[int, int, int]]
     witness: dict = field(default_factory=dict)
     anomaly: bool = False
+    restriction_pair: Optional[ExponentPair] = None  # set by the Yoshinaga route
 
     @property
     def is_free(self) -> bool:
@@ -263,26 +264,6 @@ def abt_test(
 # Ziegler restriction
 
 
-def _chart_points(H: Line) -> tuple[Point, Point]:
-    """Two deterministic independent points spanning the line H."""
-    ctx = H.ctx
-    c0, c1, c2 = H.coeffs
-    if not c0.is_zero():
-        return (
-            Point(ctx, (-c1, c0, ctx.zero())),
-            Point(ctx, (-c2, ctx.zero(), c0)),
-        )
-    if not c1.is_zero():
-        return (
-            Point(ctx, (ctx.one(), ctx.zero(), ctx.zero())),
-            Point(ctx, (ctx.zero(), -c2, c1)),
-        )
-    return (
-        Point(ctx, (ctx.one(), ctx.zero(), ctx.zero())),
-        Point(ctx, (ctx.zero(), ctx.one(), ctx.zero())),
-    )
-
-
 def _span_coords(p0: Point, p1: Point, q: Point) -> tuple[Scalar, Scalar]:
     """(alpha, beta) with q proportional to alpha*p0 + beta*p1."""
     a = p0.coords
@@ -311,8 +292,8 @@ def ziegler_restriction(A: Arrangement, h: int) -> MultiArr2:
     if len(A) < 2:
         raise FreenessError("need at least two lines to restrict")
     H = A[h]
-    p0, p1 = _chart_points(H)
     ctx = A.ctx
+    p0, p1 = (Point(ctx, t) for t in orthogonal_pair(H))
     groups: dict[Point, int] = {}
     for i, line in enumerate(A):
         if i == h:
@@ -395,7 +376,6 @@ def _divisibility_rows(
     for j in range(nrows):
         arow = [zero] * (d + 1)
         brow = [zero] * (d + 1)
-        coef = ctx.one()
         binom = 1
         power = ctx.one()
         for k in range(j, d + 1):
@@ -418,8 +398,6 @@ def _kernel_vector_parametric(
     functions by clearing denominators and keeping all intermediate entries
     polynomial, with exact divisions only.
     """
-    from .scalar import Poly
-
     pmat: list[list[Poly]] = []
     for row in rows:
         den = Poly.one(ctx)
@@ -483,8 +461,6 @@ def _full_rank_at_specialization(
     Full rank at a single value certifies full rank over the function field;
     rank deficiency is inconclusive and falls back to symbolic elimination.
     """
-    from .scalar import QuadElem
-
     if len(rows) < ncols:
         return False
     base = ctx.base()
@@ -523,7 +499,7 @@ def multi_exponents(M: MultiArr2) -> ExponentPair:
         if vec is not None:
             theta = Derivation2(tuple(vec[: d + 1]), tuple(vec[d + 1 :]))
             for (p, q), m in zip(M.forms, M.mult):
-                g = theta.applied_to(ctx, p, q)
+                g = theta.applied_to(p, q)
                 if not _form_divisible(ctx, g, p, q, m):
                     raise FreenessError(
                         "internal check failed: witness violates a constraint"
@@ -593,11 +569,16 @@ def yoshinaga_test(A: Arrangement, c: CharPoly, h: int) -> FreenessResult:
     ab = c.quad_prod
     exps = exponents_from_charpoly(c)
     witness = {"restriction": h, "d1": pair.e1, "d2": pair.e2, "ab": ab}
-    if pair.e1 * pair.e2 == ab:
-        if exps is not None:
-            return FreenessResult("free", "yoshinaga", exps, witness)
-        return FreenessResult("nonfree", "yoshinaga", None, witness, anomaly=True)
-    return FreenessResult("nonfree", "yoshinaga", None, witness)
+    matches = pair.e1 * pair.e2 == ab
+    free = matches and exps is not None
+    return FreenessResult(
+        "free" if free else "nonfree",
+        "yoshinaga",
+        exps if free else None,
+        witness,
+        anomaly=matches and not free,
+        restriction_pair=pair,
+    )
 
 
 def is_free(A: Arrangement, lat: Optional[Counts] = None) -> FreenessResult:

@@ -9,7 +9,7 @@ infinity line z = 0 last.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence
 
 from .scalar import FieldCtx, FieldMismatchError, Scalar
 
@@ -21,6 +21,7 @@ __all__ = [
     "meet",
     "join",
     "incident",
+    "orthogonal_pair",
     "cone",
 ]
 
@@ -100,6 +101,22 @@ def _cross(a: Sequence[Scalar], b: Sequence[Scalar]) -> list[Scalar]:
     ]
 
 
+def orthogonal_pair(t: _ProjTriple) -> tuple[tuple[Scalar, ...], tuple[Scalar, ...]]:
+    """Two independent raw triples orthogonal to ``t``.
+
+    For a line they are two points spanning it; for a point, two lines
+    spanning its pencil.
+    """
+    ctx = t.ctx
+    zero, one = ctx.zero(), ctx.one()
+    c0, c1, c2 = t.coeffs
+    if not c0.is_zero():
+        return (-c1, c0, zero), (-c2, zero, c0)
+    if not c1.is_zero():
+        return (one, zero, zero), (zero, -c2, c1)
+    return (one, zero, zero), (zero, one, zero)
+
+
 def meet(l1: Line, l2: Line) -> Point:
     """The unique projective point on both lines."""
     if l1.ctx != l2.ctx:
@@ -143,18 +160,6 @@ class Arrangement:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Arrangement is immutable")
 
-    @staticmethod
-    def dedup(ctx: FieldCtx, lines: Iterable[object]) -> "Arrangement":
-        """Build an arrangement, silently dropping repeated lines."""
-        out: list[Line] = []
-        seen: set[Line] = set()
-        for l in lines:
-            line = l if isinstance(l, Line) and l.ctx == ctx else Line(ctx, l.coeffs if isinstance(l, Line) else l)
-            if line not in seen:
-                seen.add(line)
-                out.append(line)
-        return Arrangement(ctx, out)
-
     def __len__(self) -> int:
         return len(self.lines)
 
@@ -193,16 +198,8 @@ class Arrangement:
 
 def cone(affine: Sequence[Sequence[object]], ctx: FieldCtx) -> Arrangement:
     """Homogenize affine lines a*x + b*y + c = 0 with z and append z = 0 last."""
-    lines: list[Line] = []
-    seen: set[Line] = set()
-    for triple in affine:
-        line = Line(ctx, triple)
-        if line in seen:
-            raise GeometryError(f"duplicate line after homogenization: {line!r}")
-        seen.add(line)
-        lines.append(line)
+    lines = [Line(ctx, triple) for triple in affine]
     infinity = Line(ctx, (0, 0, 1))
-    if infinity in seen:
+    if infinity in lines:
         raise GeometryError("affine input already contains the infinity line")
-    lines.append(infinity)
-    return Arrangement(ctx, lines)
+    return Arrangement(ctx, lines + [infinity])

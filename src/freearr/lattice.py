@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .geometry import Arrangement, Line, Point, meet
-from .scalar import FieldCtx
 
 __all__ = [
     "FlatPoint",
@@ -25,7 +24,6 @@ __all__ = [
     "addition_counts",
     "restrict_lattice",
     "char_poly",
-    "char_poly_from_mu",
     "exponents_from_charpoly",
     "AutomorphismGroup",
     "lattice_automorphisms",
@@ -60,7 +58,6 @@ class LatticeData:
         mu_total: sum of mu over all points.
         profile: F(A) = [F1, F2, ...] trimmed to the last nonzero entry.
         n_by_line: n_{A,H} for each line index.
-        mu_by_line: mu_{A,H} for each line index (equals nlines - 1).
         f_by_line: F_H(A) profile for each line index.
     """
 
@@ -70,9 +67,7 @@ class LatticeData:
         "mu_total",
         "profile",
         "n_by_line",
-        "mu_by_line",
         "f_by_line",
-        "_point_index",
     )
 
     def __init__(self, nlines: int, points: Sequence[FlatPoint]) -> None:
@@ -83,7 +78,6 @@ class LatticeData:
         prof: list[int] = []
         per_line_counts: list[dict[int, int]] = [dict() for _ in range(nlines)]
         n_by_line = [0] * nlines
-        mu_by_line = [0] * nlines
         for fp in pts:
             m = fp.mu
             while len(prof) < m:
@@ -91,20 +85,14 @@ class LatticeData:
             prof[m - 1] += 1
             for i in fp.incident:
                 n_by_line[i] += 1
-                mu_by_line[i] += m
                 per_line_counts[i][m] = per_line_counts[i].get(m, 0) + 1
         self.profile = _trim(prof)
         self.n_by_line = tuple(n_by_line)
-        self.mu_by_line = tuple(mu_by_line)
         f_by_line = []
         for counts in per_line_counts:
             top = max(counts) if counts else 0
             f_by_line.append(_trim([counts.get(i, 0) for i in range(1, top + 1)]))
         self.f_by_line = tuple(f_by_line)
-        self._point_index = {fp.point: i for i, fp in enumerate(self.points)}
-
-    def point_index(self, p: Point) -> Optional[int]:
-        return self._point_index.get(p)
 
     def big_flats(self) -> tuple[frozenset[int], ...]:
         """Incident sets of size >= 3 (the informative part of the lattice)."""
@@ -242,10 +230,6 @@ class CharPoly:
         return f"(t-1)(t^2-{self.quad_sum}t+{self.quad_prod})"
 
 
-def char_poly_from_mu(nlines: int, mu: int) -> CharPoly:
-    return CharPoly(nlines, mu)
-
-
 def char_poly(A: Arrangement, lat: Optional[Counts] = None) -> CharPoly:
     """chi(A,t) = (t-1){t^2 - (|A|-1)(t+1) + mu_A}."""
     if len(A) == 0:
@@ -283,15 +267,15 @@ class AutomorphismGroup:
     generators: tuple[tuple[int, ...], ...]
 
 
-def _line_invariants(nlines: int, flats: Sequence[frozenset[int]], n_by_line) -> list[tuple]:
-    sizes: list[list[int]] = [[] for _ in range(nlines)]
+def _line_invariants(flats: Sequence[frozenset[int]], n_by_line) -> list[tuple]:
+    sizes: list[list[int]] = [[] for _ in n_by_line]
     for f in flats:
         for i in f:
             sizes[i].append(len(f))
-    return [(n_by_line[i], tuple(sorted(sizes[i]))) for i in range(nlines)]
+    return [(n, tuple(sorted(s))) for n, s in zip(n_by_line, sizes)]
 
 
-def _pair_flat_size(nlines: int, flats: Sequence[frozenset[int]]) -> dict[tuple[int, int], int]:
+def _pair_flat_size(flats: Sequence[frozenset[int]]) -> dict[tuple[int, int], int]:
     out: dict[tuple[int, int], int] = {}
     for f in flats:
         fl = sorted(f)
@@ -311,8 +295,8 @@ def _support_maps(
     first_only: bool,
 ):
     """Backtracking search for support-line bijections mapping flats onto flats."""
-    src_pair = _pair_flat_size(0, src_flats)
-    dst_pair = _pair_flat_size(0, dst_flats)
+    src_pair = _pair_flat_size(src_flats)
+    dst_pair = _pair_flat_size(dst_flats)
     dst_flat_set = {f for f in dst_flats}
     results: list[dict[int, int]] = []
     assigned: dict[int, int] = {}
@@ -363,7 +347,7 @@ def lattice_automorphisms(L: LatticeData) -> AutomorphismGroup:
     flats = L.big_flats()
     support = sorted({i for f in flats for i in f})
     free = [i for i in range(n) if i not in set(support)]
-    inv = _line_invariants(n, flats, L.n_by_line)
+    inv = _line_invariants(flats, L.n_by_line)
     support_maps = _support_maps(flats, flats, support, support, inv, inv, False)
     order = len(support_maps) * math.factorial(len(free))
     generators: list[tuple[int, ...]] = []
@@ -424,7 +408,7 @@ def lattice_isomorphic(L1: LatticeData, L2: LatticeData) -> bool:
     """True iff a line bijection maps the incident-set system of L1 onto L2's."""
     if L1.nlines != L2.nlines:
         return False
-    if sorted(L1.profile) != sorted(L2.profile) or L1.profile != L2.profile:
+    if L1.profile != L2.profile:
         return False
     f1, f2 = L1.big_flats(), L2.big_flats()
     if sorted(len(f) for f in f1) != sorted(len(f) for f in f2):
@@ -433,8 +417,8 @@ def lattice_isomorphic(L1: LatticeData, L2: LatticeData) -> bool:
     s2 = sorted({i for f in f2 for i in f})
     if len(s1) != len(s2):
         return False
-    inv1 = _line_invariants(L1.nlines, f1, L1.n_by_line)
-    inv2 = _line_invariants(L2.nlines, f2, L2.n_by_line)
+    inv1 = _line_invariants(f1, L1.n_by_line)
+    inv2 = _line_invariants(f2, L2.n_by_line)
     if sorted(inv1) != sorted(inv2):
         return False
     maps = _support_maps(f1, f2, s1, s2, inv1, inv2, True)

@@ -11,28 +11,22 @@ deletions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .geometry import Arrangement, Line
-from .lattice import (
-    LatticeData,
-    char_poly,
-    compute_lattice,
-    exponents_from_charpoly,
-    lattice_isomorphic,
-)
+from .freeness import is_free
+from .geometry import Arrangement, Line, _cross
+from .lattice import LatticeData, compute_lattice, lattice_isomorphic
 from .scalar import (
-    RATIONAL,
     FieldCtx,
     FieldMismatchError,
     Poly,
     QuadElem,
     QuadraticRootPair,
-    RootReport,
     roots_low_degree,
 )
+from .search import SearchCache, is_inductively_free, recursive_freeness_bounded
 
 __all__ = [
     "Family",
@@ -89,7 +83,7 @@ class Family:
             if all(v.is_zero() for v in vals):
                 continue
             triples.append(vals)
-        return Arrangement.dedup(target, triples)
+        return Arrangement(target, dict.fromkeys(Line(target, v) for v in triples))
 
     def generic_size(self) -> int:
         return len(self.triples)
@@ -171,13 +165,7 @@ def generic_lattice(fam: Family) -> GenericLattice:
         _add_condition(conditions, seen, f"line {idx} vanishes", g)
     for i in range(len(trips)):
         for j in range(i + 1, len(trips)):
-            a, b = trips[i], trips[j]
-            minors = [
-                a[1] * b[2] - a[2] * b[1],
-                a[2] * b[0] - a[0] * b[2],
-                a[0] * b[1] - a[1] * b[0],
-            ]
-            nonzero = [m for m in minors if not m.is_zero()]
+            nonzero = [m for m in _cross(trips[i], trips[j]) if not m.is_zero()]
             if not nonzero:
                 raise FieldMismatchError(
                     f"lines {i} and {j} are proportional identically in t"
@@ -195,12 +183,7 @@ def generic_lattice(fam: Family) -> GenericLattice:
         i, j = fp.incident[0], fp.incident[1]
         # raw polynomial point: cross product before content-stripping
         # normalization, so degeneration factors survive
-        a, b = trips[i], trips[j]
-        pt = (
-            a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0],
-        )
+        pt = _cross(trips[i], trips[j])
         for k in range(len(trips)):
             if k in inc:
                 continue
@@ -291,7 +274,6 @@ def scan_family(
     fam: Family,
     samples: Sequence[Union[int, Fraction, QuadElem]],
     symbolic: bool = True,
-    max_size: Optional[int] = None,
 ) -> ScanTable:
     """Classify the family at each sample and (optionally) at symbolic t.
 
@@ -299,21 +281,15 @@ def scan_family(
     freeness, bounded recursive-freeness verdict.  The symbolic row decides
     freeness over the rational function field only.
     """
-    from .search import SearchCache, is_inductively_free, recursive_freeness_bounded
-
     report = exceptional_values(fam)
     rows: list[ScanRow] = []
     if symbolic:
         A = fam.arrangement()
         lat = compute_lattice(A)
-        from .freeness import is_free
-
         r = is_free(A, lat=lat)
         rows.append(
             ScanRow("t", len(A), lat.profile, r.verdict, r.route, r.exponents, None, None)
         )
-    from .freeness import is_free
-
     for lam in samples:
         if isinstance(lam, (int, Fraction)):
             label = str(Fraction(lam))
@@ -325,7 +301,7 @@ def scan_family(
         if r.is_free:
             cache = SearchCache()
             indf = is_inductively_free(A, lat, cache) is not None
-            rec = recursive_freeness_bounded(A, max_size=max_size, cache=cache).kind
+            rec = recursive_freeness_bounded(A, cache=cache).kind
         else:
             indf = False
             rec = None

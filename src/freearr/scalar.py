@@ -9,6 +9,7 @@ different contexts is a :class:`FieldMismatchError`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
@@ -21,8 +22,6 @@ __all__ = [
     "Poly",
     "RatFn",
     "Scalar",
-    "field_arithmetic",
-    "conjugate",
     "sqrt_rational",
     "squarefree_decompose",
     "QuadraticRootPair",
@@ -83,9 +82,6 @@ class FieldCtx:
         if not self.parametric:
             return self
         return FieldCtx(self.disc, False)
-
-    def with_param(self) -> "FieldCtx":
-        return FieldCtx(self.disc, True)
 
     # -- scalar constructors ------------------------------------------------
 
@@ -279,7 +275,7 @@ class QuadElem:
         d = self.ctx.disc
         if d is None or d < 0:
             raise ValueError("no real embedding for this context")
-        return float(self.a) + float(self.b) * d ** 0.5
+        return float(self.a) + float(self.b) * math.sqrt(d)
 
     def real_sign(self) -> int:
         """Exact sign under the positive-root real embedding."""
@@ -537,9 +533,6 @@ class RatFn:
     def __bool__(self) -> bool:
         return not self.is_zero()
 
-    def is_polynomial(self) -> bool:
-        return self.den.degree == 0
-
     def is_constant(self) -> bool:
         return self.num.is_constant() and self.den.is_constant()
 
@@ -640,30 +633,6 @@ class RatFn:
 
 
 Scalar = Union[QuadElem, RatFn]
-
-
-def field_arithmetic(x: Scalar, y: Scalar, op: str):
-    """Uniform entry point for scalar arithmetic: add/sub/mul/div/eq/is_zero."""
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "div":
-        return x / y
-    if op == "eq":
-        return x == y
-    if op == "is_zero":
-        return x.is_zero()
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def conjugate(x: Scalar) -> Scalar:
-    """Galois conjugation a + b*sqrt(d) -> a - b*sqrt(d), coefficient-wise."""
-    if x.ctx.disc is None:
-        raise FieldMismatchError("conjugate requires a quadratic context")
-    return x.conjugate()
 
 
 def sqrt_rational(ctx_or_disc: Union[FieldCtx, int], n: Union[int, Fraction]) -> QuadElem:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .freeness import FreenessResult, is_free
-from .geometry import Arrangement, Line, Point, join
+from .geometry import Arrangement, Line, Point, join, orthogonal_pair
 from .lattice import (
     Counts,
     LatticeData,
@@ -139,32 +139,12 @@ def free_deletions(
 # Free additions via stratification
 
 
-def _pencil_basis(P: Point) -> tuple[Line, Line]:
-    """Two independent lines through the point (dual of a chart on a line)."""
-    ctx = P.ctx
-    c0, c1, c2 = P.coords
-    if not c0.is_zero():
-        return (
-            Line(ctx, (-c1, c0, ctx.zero())),
-            Line(ctx, (-c2, ctx.zero(), c0)),
-        )
-    if not c1.is_zero():
-        return (
-            Line(ctx, (ctx.one(), ctx.zero(), ctx.zero())),
-            Line(ctx, (ctx.zero(), -c2, c1)),
-        )
-    return (
-        Line(ctx, (ctx.one(), ctx.zero(), ctx.zero())),
-        Line(ctx, (ctx.zero(), ctx.one(), ctx.zero())),
-    )
-
-
 def _pencil_representative(
     A: Arrangement, lat: LatticeData, P: Point
 ) -> Optional[Line]:
     """A line through P, through no other flat point, and not in A."""
-    l1, l2 = _pencil_basis(P)
     ctx = A.ctx
+    l1, l2 = (Line(ctx, t) for t in orthogonal_pair(P))
     others = [fp.point for fp in lat.points if fp.point != P]
     for k in itertools.count():
         kk = ctx.scalar(k)

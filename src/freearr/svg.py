@@ -13,47 +13,24 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .geometry import Arrangement
-from .lattice import LatticeData, compute_lattice
+from .lattice import compute_lattice
 from .scalar import QuadElem
 
 __all__ = ["NotDrawableError", "render_svg"]
+
+SIZE = 640  # width and height of the square canvas, in px
 
 
 class NotDrawableError(ValueError):
     """The arrangement's field has no real embedding to draw with."""
 
 
-def _real_sign(x: QuadElem) -> int:
-    """Sign of a + b*sqrt(d) under the positive-root embedding (d > 0)."""
-    if x.b == 0:
-        return (x.a > 0) - (x.a < 0)
-    if x.a == 0:
-        return 1 if x.b > 0 else -1
-    if x.a > 0 and x.b > 0:
-        return 1
-    if x.a < 0 and x.b < 0:
-        return -1
-    # opposite signs: compare a^2 with b^2 d; sign follows the larger side
-    lhs, rhs = x.a * x.a, x.b * x.b * x.ctx.disc
-    if lhs == rhs:
-        return 0
-    return (1 if x.a > 0 else -1) if lhs > rhs else (1 if x.b > 0 else -1)
-
-
 def _in_range(x: QuadElem, lo: Fraction, hi: Fraction) -> bool:
     base = x.ctx
     return (
-        _real_sign(x - QuadElem.of(base, lo)) >= 0
-        and _real_sign(QuadElem.of(base, hi) - x) >= 0
+        (x - QuadElem.of(base, lo)).real_sign() >= 0
+        and (QuadElem.of(base, hi) - x).real_sign() >= 0
     )
-
-
-def _to_float(x: QuadElem) -> float:
-    if x.b == 0:
-        return float(x.a)
-    import math
-
-    return float(x.a) + float(x.b) * math.sqrt(x.ctx.disc)
 
 
 def _fmt(v: float) -> str:
@@ -87,25 +64,19 @@ def _clip_segment(
     return (p[0] + t0 * d[0], p[1] + t0 * d[1], p[0] + t1 * d[0], p[1] + t1 * d[1])
 
 
-def render_svg(
-    A: Arrangement,
-    viewport: Sequence[Fraction] = (-4, 4, -4, 4),
-    size: int = 640,
-    lat: Optional[LatticeData] = None,
-) -> str:
+def render_svg(A: Arrangement, viewport: Sequence[Fraction] = (-4, 4, -4, 4)) -> str:
     """Render the affine chart of A as an SVG 1.1 document string."""
     ctx = A.ctx
     if ctx.parametric:
         raise NotDrawableError("parametric arrangements are not drawable")
     if ctx.disc is not None and ctx.disc < 0:
         raise NotDrawableError(f"Q(sqrt({ctx.disc})) has no real embedding")
-    if lat is None:
-        lat = compute_lattice(A)
+    lat = compute_lattice(A)
     xmin, xmax, ymin, ymax = (Fraction(v) for v in viewport)
     if xmin >= xmax or ymin >= ymax:
         raise NotDrawableError("empty viewport")
     pad = 30.0
-    scale = (size - 2 * pad) / float(max(xmax - xmin, ymax - ymin))
+    scale = (SIZE - 2 * pad) / float(max(xmax - xmin, ymax - ymin))
 
     def px(x: float, y: float) -> tuple[float, float]:
         return (pad + (x - float(xmin)) * scale, pad + (float(ymax) - y) * scale)
@@ -113,7 +84,7 @@ def render_svg(
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{size}" height="{size}" viewBox="0 0 {size} {size}">',
+        f'width="{SIZE}" height="{SIZE}" viewBox="0 0 {SIZE} {SIZE}">',
         f'<rect x="{_fmt(pad)}" y="{_fmt(pad)}" '
         f'width="{_fmt((float(xmax - xmin)) * scale)}" '
         f'height="{_fmt((float(ymax - ymin)) * scale)}" '
@@ -126,7 +97,7 @@ def render_svg(
         if c0.is_zero() and c1.is_zero():
             at_infinity.append(i)
             continue
-        seg = _clip_segment((_to_float(c0), _to_float(c1), _to_float(c2)), box)
+        seg = _clip_segment((c0.real_value(), c1.real_value(), c2.real_value()), box)
         if seg is None:
             continue
         (x1, y1), (x2, y2) = px(seg[0], seg[1]), px(seg[2], seg[3])
@@ -147,7 +118,7 @@ def render_svg(
         xa, ya = x * zi, y * zi
         if not (_in_range(xa, xmin, xmax) and _in_range(ya, ymin, ymax)):
             continue
-        cx, cy = px(_to_float(xa), _to_float(ya))
+        cx, cy = px(xa.real_value(), ya.real_value())
         r = 2.0 + fp.mu
         out.append(
             f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}" '
@@ -156,7 +127,7 @@ def render_svg(
     if at_infinity:
         names = ", ".join(f"H{i + 1}" for i in at_infinity)
         out.append(
-            f'<text x="{_fmt(pad)}" y="{_fmt(size - 8.0)}" font-size="12" '
+            f'<text x="{_fmt(pad)}" y="{_fmt(SIZE - 8.0)}" font-size="12" '
             f'fill="#444444">{names} at infinity (z = 0)</text>'
         )
     out.append("</svg>")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -81,6 +82,8 @@ class TestArrangementEncoding:
             decode_arrangement({"lines": [["1", "0"]]})
         with pytest.raises(ArrIOError):
             decode_arrangement({"field": {"sqrt": "five"}, "lines": []})
+        with pytest.raises(ArrIOError):  # would trial-divide for hours
+            decode_arrangement({"field": {"sqrt": 1000000000000000000000000000057}, "lines": []})
         with pytest.raises(ArrIOError):  # duplicate lines
             decode_arrangement({"lines": [["1", "0", "0"], ["2", "0", "0"]]})
 
@@ -109,3 +112,43 @@ class TestParseParam:
             parse_param("x+1")
         with pytest.raises(ArrIOError):
             parse_param("2^^")
+
+    def test_documented_forms(self):
+        assert parse_param("1/2").as_fraction() == Fraction(1, 2)
+        assert parse_param(" 1.5 ").as_fraction() == Fraction(3, 2)
+        x = parse_param("1/2+(-3/2)*sqrt(5)")  # the a+(b)*sqrt(d) form
+        assert (x.ctx.disc, x.a, x.b) == (5, Fraction(1, 2), Fraction(-3, 2))
+        i = parse_param("I")
+        assert i.ctx.disc == -1 and i.b == 1
+        y = parse_param("(-1+sqrt(-3))/2")
+        assert y.ctx.disc == -3 and (y * y + y + 1).is_zero()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "__import__('os').getpid()*0+2",
+            "2**(2**40)",
+            "2* *(2* *40)",
+            "2^(2^40)",
+            "9" * 300,
+            "lambda: 0",
+        ],
+    )
+    def test_unsafe_text_never_reaches_sympy(self, text, monkeypatch):
+        import sympy
+
+        def sympify(*args, **kwargs):
+            raise AssertionError("rejected text reached sympy")
+
+        monkeypatch.setattr(sympy, "sympify", sympify)
+        start = time.perf_counter()
+        with pytest.raises(ArrIOError):
+            parse_param(text)
+        assert time.perf_counter() - start < 1.0
+
+    def test_large_radicand_rejected_fast(self):
+        # trial division would run for hours on this 31-digit prime
+        start = time.perf_counter()
+        with pytest.raises(ArrIOError):
+            parse_param("sqrt(1000000000000000000000000000057)")
+        assert time.perf_counter() - start < 1.0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -154,6 +155,16 @@ class TestExitCodes:
 
     def test_bad_param(self, capsys):
         assert main(["freeness", "catalog:family13?lambda=sqrt(2)+sqrt(3)"]) == 2
+
+    @pytest.mark.parametrize(
+        "value", ["__import__('os').getpid()*0+2", "2**(2**40)", "2^(2^40)", "7" * 300]
+    )
+    def test_unsafe_param_text(self, capsys, value):
+        start = time.perf_counter()
+        assert main(["charpoly", f"catalog:family13?lambda={value}"]) == 2
+        assert main(["catalog", "get", "family13", "--param", value]) == 2
+        assert main(["scan-family", "family13", "--samples", f"2,{value}"]) == 2
+        assert time.perf_counter() - start < 1.0
 
     def test_missing_param(self, capsys):
         assert main(["freeness", "catalog:family13"]) == 2

@@ -227,6 +227,37 @@ class TestYoshinaga:
         assert verdicts == {"nonfree"}
 
 
+class TestRestrictionCertificate:
+    """The Yoshinaga route keeps the restriction exponents it computed.
+
+    A fresh ``multi_exponents(ziegler_restriction(A, h))`` is the oracle.
+    """
+
+    def test_stored_pair_equals_fresh_restriction(self):
+        golden = FieldCtx(5).scalar(Fraction(1, 2)) + FieldCtx(5).sqrt_gen() / 2
+        sqrt_m3 = FieldCtx(-3).sqrt_gen()
+        cases = [dual_hesse(), pentagonal(), g443(), eleven_if()]
+        cases += [family13(v) for v in (-1, 2, 3, 5, Fraction(2, 3), golden, sqrt_m3)]
+        cases += [family15(v) for v in (2, 5, Fraction(1, 5))]
+        yoshinaga = 0
+        for A in cases:
+            r = is_free(A)
+            if r.route != "yoshinaga":
+                assert r.restriction_pair is None
+                continue
+            yoshinaga += 1
+            fresh = multi_exponents(ziegler_restriction(A, r.witness["restriction"]))
+            assert r.restriction_pair == fresh
+            assert (r.witness["d1"], r.witness["d2"]) == (fresh.e1, fresh.e2)
+        assert yoshinaga == 11
+
+    def test_nonfree_keeps_pair(self):
+        c = char_poly(NONFREE_PIVOT)
+        r = yoshinaga_test(NONFREE_PIVOT, c, 0)
+        assert r.verdict == "nonfree"
+        assert r.restriction_pair == multi_exponents(ziegler_restriction(NONFREE_PIVOT, 0))
+
+
 class TestPipeline:
     def test_catalog_verdicts(self):
         expectations = {

@@ -15,6 +15,7 @@ from freearr.geometry import (
     incident,
     join,
     meet,
+    orthogonal_pair,
 )
 from freearr.scalar import RATIONAL, FieldCtx, QuadElem
 
@@ -143,3 +144,21 @@ class TestCone:
     def test_duplicate_after_homogenization(self):
         with pytest.raises(GeometryError):
             cone([(1, 0, 0), (3, 0, 0)], RATIONAL)
+
+    def test_infinity_line_rejected(self):
+        with pytest.raises(GeometryError):
+            cone([(1, 0, 0), (0, 0, 2)], RATIONAL)
+
+
+class TestOrthogonalPair:
+    def test_spans_the_orthogonal_plane(self):
+        ctx = FieldCtx(5)
+        r5 = ctx.sqrt_gen()
+        triples = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, -3, 1), (0, 4, r5), (r5, 1, -7)]
+        for raw in triples:
+            for t in (Line(ctx, raw), Point(ctx, raw)):
+                u, v = orthogonal_pair(t)
+                for w in (u, v):
+                    assert sum((a * b for a, b in zip(w, t.coeffs)), ctx.zero()).is_zero()
+                # independent: their cross product is t up to scale
+                assert type(t)(ctx, meet(Line(ctx, u), Line(ctx, v)).coords) == t

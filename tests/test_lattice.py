@@ -15,7 +15,6 @@ from freearr.geometry import Arrangement, Line, cone
 from freearr.lattice import (
     CharPoly,
     char_poly,
-    char_poly_from_mu,
     compute_lattice,
     exponents_from_charpoly,
     extend_lattice,
@@ -178,7 +177,7 @@ class TestCharPoly:
             char_poly(Arrangement(RATIONAL, []))
 
     def test_eval_and_from_mu(self):
-        cp = char_poly_from_mu(13, 47)
+        cp = CharPoly(13, 47)
         assert exponents_from_charpoly(cp) == (1, 5, 7)
         for t in (-2, 0, 1, 5, 7, 10):
             assert cp.eval(t) == (t - 1) * (t - 5) * (t - 7)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -14,8 +15,6 @@ from freearr.scalar import (
     Poly,
     QuadElem,
     RatFn,
-    conjugate,
-    field_arithmetic,
     roots_low_degree,
     sqrt_rational,
     squarefree_decompose,
@@ -61,7 +60,7 @@ class TestQuadElem:
     def test_golden_ratio_satisfies_quadratic(self):
         ctx = FieldCtx(5)
         zeta = (ctx.one() + ctx.sqrt_gen()) / 2
-        assert field_arithmetic(zeta * zeta - zeta - 1, ctx.zero(), "is_zero")
+        assert (zeta * zeta - zeta - 1).is_zero()
 
     def test_identities(self):
         ctx = FieldCtx(-3)
@@ -74,17 +73,13 @@ class TestQuadElem:
         ctx = FieldCtx(-3)
         minus_omega_sq = QuadElem(ctx, frac(1, 2), frac(1, 2))
         minus_omega = QuadElem(ctx, frac(1, 2), frac(-1, 2))
-        assert conjugate(minus_omega_sq) == minus_omega
-        assert conjugate(conjugate(minus_omega_sq)) == minus_omega_sq
+        assert minus_omega_sq.conjugate() == minus_omega
+        assert minus_omega_sq.conjugate().conjugate() == minus_omega_sq
 
     def test_conjugate_fixes_rationals(self):
         ctx = FieldCtx(5)
         x = QuadElem.of(ctx, frac(7, 3))
-        assert conjugate(x) == x
-
-    def test_conjugate_requires_quadratic_context(self):
-        with pytest.raises(FieldMismatchError):
-            conjugate(RATIONAL.one())
+        assert x.conjugate() == x
 
     def test_field_axioms_random(self):
         rng = random.Random(7)
@@ -102,7 +97,7 @@ class TestQuadElem:
             assert (x + y) + z == x + (y + z)
             assert (x * y) * z == x * (y * z)
             assert x * (y + z) == x * y + x * z
-            assert conjugate(x * y) == conjugate(x) * conjugate(y)
+            assert (x * y).conjugate() == x.conjugate() * y.conjugate()
             if not x.is_zero():
                 assert x * x.inverse() == ctx.one()
 
@@ -110,6 +105,11 @@ class TestQuadElem:
         ctx = FieldCtx(5)
         with pytest.raises(ZeroDivisionError):
             ctx.one() / ctx.zero()
+
+    def test_real_value_uses_math_sqrt(self):
+        # 2921 ** 0.5 and math.sqrt(2921) differ in the last bit
+        x = QuadElem(FieldCtx(2921), frac(1, 3), frac(2))
+        assert x.real_value() == float(frac(1, 3)) + 2.0 * math.sqrt(2921)
 
     def test_real_sign(self):
         ctx = FieldCtx(2)

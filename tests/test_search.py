@@ -361,7 +361,7 @@ class TestRandomProperties:
                     tuple(rng.randint(-2, 2) for _ in range(3))
                 )
             lines = [t for t in lines if any(t)]
-            A = Arrangement.dedup(ctx, lines)
+            A = Arrangement(ctx, dict.fromkeys(Line(ctx, t) for t in lines))
             if not is_free(A).is_free:
                 continue
             ch = is_inductively_free(A, cache=cache)

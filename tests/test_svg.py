@@ -10,7 +10,7 @@ from freearr.catalog import dual_hesse, eleven_if, family13, family15, pentagona
 from freearr.geometry import Arrangement
 from freearr.lattice import compute_lattice
 from freearr.scalar import RATIONAL, FieldCtx, QuadElem
-from freearr.svg import NotDrawableError, render_svg, _real_sign
+from freearr.svg import NotDrawableError, render_svg
 
 
 def affine_triangle() -> Arrangement:
@@ -20,16 +20,16 @@ def affine_triangle() -> Arrangement:
 class TestRealSign:
     def test_rational(self):
         ctx = FieldCtx(None)
-        assert _real_sign(QuadElem.of(ctx, Fraction(3, 7))) == 1
-        assert _real_sign(QuadElem.of(ctx, Fraction(0))) == 0
-        assert _real_sign(QuadElem.of(ctx, Fraction(-2))) == -1
+        assert QuadElem.of(ctx, Fraction(3, 7)).real_sign() == 1
+        assert QuadElem.of(ctx, Fraction(0)).real_sign() == 0
+        assert QuadElem.of(ctx, Fraction(-2)).real_sign() == -1
 
     def test_mixed_signs_exact(self):
         ctx = FieldCtx(2)
         # 3/2 - sqrt(2) > 0, 7/5 - sqrt(2) < 0, both within 0.09 of zero
-        assert _real_sign(QuadElem(ctx, Fraction(3, 2), Fraction(-1))) == 1
-        assert _real_sign(QuadElem(ctx, Fraction(7, 5), Fraction(-1))) == -1
-        assert _real_sign(QuadElem(ctx, Fraction(-3, 2), Fraction(1))) == -1
+        assert QuadElem(ctx, Fraction(3, 2), Fraction(-1)).real_sign() == 1
+        assert QuadElem(ctx, Fraction(7, 5), Fraction(-1)).real_sign() == -1
+        assert QuadElem(ctx, Fraction(-3, 2), Fraction(1)).real_sign() == -1
 
 
 class TestRenderSvg:
