@@ -146,8 +146,9 @@ def parse_param(text: str) -> QuadElem:
 
     The value must lie in Q or a quadratic extension Q(sqrt(d)).  The text
     may hold only digits, ``.``, ``+ - * / ( )``, whitespace, ``sqrt`` and
-    ``I``, with no power operator and at most ``MAX_PARAM_CHARS`` characters;
-    anything else is rejected before sympy sees it.
+    ``I``, with no power operator, no ``sqrt`` inside another ``sqrt``
+    argument and at most ``MAX_PARAM_CHARS`` characters; anything else is
+    rejected before sympy sees it.
     """
     if len(text) > MAX_PARAM_CHARS:
         raise ArrIOError(f"parameter text longer than {MAX_PARAM_CHARS} characters")
@@ -155,6 +156,17 @@ def parse_param(text: str) -> QuadElem:
         raise ArrIOError(
             f"cannot parse parameter {text!r}: use digits, . + - * / ( ), sqrt(...) and I"
         )
+    # sympy.nsimplify turns a deeply nested root such as 2^(1/2^25) into a
+    # rational approximation, so nested roots must not reach it
+    in_sqrt: list[bool] = []  # per open parenthesis: whether it lies in a sqrt argument
+    for tok in re.findall(r"sqrt\s*\(|[()]", text):
+        if tok == ")":
+            in_sqrt = in_sqrt[:-1]
+            continue
+        nested = bool(in_sqrt) and in_sqrt[-1]
+        if nested and tok != "(":
+            raise ArrIOError(f"parameter {text!r} nests sqrt inside sqrt")
+        in_sqrt.append(nested or tok != "(")
     import sympy
 
     try:

@@ -61,6 +61,8 @@ EXIT_FIELD = 3
 EXIT_SELFCHECK = 4
 EXIT_NOT_DRAWABLE = 5
 
+MAX_CLASSIFY_LINES = 20
+
 # The most specific class in an exception's MRO picks its exit code.
 _EXIT_CODES = {
     CatalogMismatchError: EXIT_SELFCHECK,
@@ -241,6 +243,9 @@ def _cmd_scan_family(args) -> dict:
 
 
 def _cmd_classify(args) -> dict:
+    if args.max > MAX_CLASSIFY_LINES:
+        # the enumeration grows steeply: about 4 s at 20 lines, 60 s at 23
+        raise ArrIOError(f"--max must be at most {MAX_CLASSIFY_LINES}")
     triples = classify_profiles(args.max)
     return {
         "profiles": [

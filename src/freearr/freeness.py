@@ -10,7 +10,8 @@ a line (with multiplicities) against a*b.
 Rank-2 multiarrangement exponents are computed exactly, degree by degree, by
 solving the divisibility constraints alpha^m | theta(alpha) as linear systems
 over the scalar field (which may be a quadratic extension or a rational
-function field).
+function field).  Only the degrees below total/2 are searched; over a
+function field full rank at one specialisation t = c settles a degree.
 """
 
 from __future__ import annotations
@@ -179,11 +180,28 @@ class Derivation2:
 
 @dataclass(frozen=True)
 class ExponentPair:
-    """Exponents (e1, e2) of a rank-2 multiarrangement, e1 <= e2."""
+    """Exponents (e1, e2) of a rank-2 multiarrangement, e1 <= e2.
+
+    ``certificate`` holds the pairs (d, c) such that the degree-d divisibility
+    system over the function field has full column rank at t = c, so no
+    derivation of degree d exists; it is empty over numeric fields, where the
+    exact elimination is the check.  ``witness`` is a nonzero derivation of
+    degree e1, re-verified by division; when e1 = total // 2 it is solved for
+    on first read.  Neither the witness nor its source takes part in ``==``.
+    """
 
     e1: int
     e2: int
-    witness: Optional[Derivation2] = None
+    certificate: tuple[tuple[int, QuadElem], ...] = ()
+    _source: Optional[MultiArr2] = field(default=None, compare=False, repr=False)
+    _witness: Optional[Derivation2] = field(default=None, compare=False, repr=False)
+
+    @property
+    def witness(self) -> Optional[Derivation2]:
+        if self._witness is None and self._source is not None:
+            M, d = self._source, self.e1
+            object.__setattr__(self, "_witness", _derivation_at(M, d, _system(M, d)))
+        return self._witness
 
     def __iter__(self):
         return iter((self.e1, self.e2))
@@ -455,14 +473,15 @@ def _kernel_vector_parametric(
 
 def _full_rank_at_specialization(
     ctx: FieldCtx, rows: list[list[Scalar]], ncols: int
-) -> bool:
-    """Whether the system has full column rank after one parameter substitution.
+) -> Optional[QuadElem]:
+    """A parameter value c at which the system has full column rank, or None.
 
-    Full rank at a single value certifies full rank over the function field;
-    rank deficiency is inconclusive and falls back to symbolic elimination.
+    Full rank at t = c certifies full rank over the function field: a nonzero
+    specialised maximal minor is a nonzero generic minor.  None (a rank drop
+    at the first value where every entry is defined) is inconclusive.
     """
     if len(rows) < ncols:
-        return False
+        return None
     base = ctx.base()
     for cand in (17, 23, 101, 1009):
         x = QuadElem.of(base, cand)
@@ -470,42 +489,63 @@ def _full_rank_at_specialization(
             spec = [[entry.eval(x) for entry in row] for row in rows]
         except ZeroDivisionError:
             continue
-        return _kernel_vector(base, spec, ncols) is None
-    return False
+        return x if _kernel_vector(base, spec, ncols) is None else None
+    return None
+
+
+def _system(M: MultiArr2, d: int) -> list[list[Scalar]]:
+    """Rows (a_0..a_d, b_0..b_d) of every divisibility condition at degree d."""
+    rows: list[list[Scalar]] = []
+    for (p, q), m in zip(M.forms, M.mult):
+        for arow, brow in _divisibility_rows(M.ctx, p, q, m, d):
+            rows.append(arow + brow)
+    return rows
+
+
+def _derivation_at(M: MultiArr2, d: int, rows: list[list[Scalar]]) -> Optional[Derivation2]:
+    """A nonzero derivation of degree d by exact elimination, or None.
+
+    The solution is re-verified against every divisibility constraint by
+    actual polynomial division.
+    """
+    ctx = M.ctx
+    solve = _kernel_vector_parametric if ctx.parametric else _kernel_vector
+    vec = solve(ctx, rows, 2 * (d + 1))
+    if vec is None:
+        return None
+    theta = Derivation2(tuple(vec[: d + 1]), tuple(vec[d + 1 :]))
+    for (p, q), m in zip(M.forms, M.mult):
+        if not _form_divisible(ctx, theta.applied_to(p, q), p, q, m):
+            raise FreenessError("internal check failed: witness violates a constraint")
+    return theta
 
 
 def multi_exponents(M: MultiArr2) -> ExponentPair:
     """Exponents (e1, e2): e1 is the least degree with a nonzero derivation.
 
-    The degree loop is capped at total/2, where a nonzero kernel is
-    guaranteed by dimension count; the emitted witness is re-verified against
-    every divisibility constraint by actual polynomial division.
+    A rank-2 multiarrangement is free (Ziegler), so e1 <= total // 2 and only
+    the degrees below total // 2 are searched.  Over a function field each
+    degree is first tried at a specialisation t = c; full rank there rules
+    out a kernel, and the pair (d, c) goes into the certificate.  A rank drop
+    falls back to symbolic elimination.  A kernel found below total // 2 is
+    the witness; otherwise e1 = total // 2 and the witness is solved for only
+    when it is read.
     """
     ctx = M.ctx
     total = M.total
-    for d in range(total // 2 + 1):
-        rows: list[list[Scalar]] = []
-        for (p, q), m in zip(M.forms, M.mult):
-            for arow, brow in _divisibility_rows(ctx, p, q, m, d):
-                rows.append(arow + brow)
-        if ctx.parametric and _full_rank_at_specialization(ctx, rows, 2 * (d + 1)):
-            # full column rank at one parameter value rules out a kernel
-            # over the whole function field
-            continue
+    certificate = []
+    for d in range(total // 2):
+        rows = _system(M, d)
         if ctx.parametric:
-            vec = _kernel_vector_parametric(ctx, rows, 2 * (d + 1))
-        else:
-            vec = _kernel_vector(ctx, rows, 2 * (d + 1))
-        if vec is not None:
-            theta = Derivation2(tuple(vec[: d + 1]), tuple(vec[d + 1 :]))
-            for (p, q), m in zip(M.forms, M.mult):
-                g = theta.applied_to(p, q)
-                if not _form_divisible(ctx, g, p, q, m):
-                    raise FreenessError(
-                        "internal check failed: witness violates a constraint"
-                    )
-            return ExponentPair(d, total - d, witness=theta)
-    raise FreenessError("no derivation found up to total/2; dimension count violated")
+            c = _full_rank_at_specialization(ctx, rows, 2 * (d + 1))
+            if c is not None:
+                certificate.append((d, c))
+                continue
+        theta = _derivation_at(M, d, rows)
+        if theta is not None:
+            return ExponentPair(d, total - d, tuple(certificate), M, theta)
+    e1 = total // 2
+    return ExponentPair(e1, total - e1, tuple(certificate), M)
 
 
 def saito_verify_rank2(M: MultiArr2, theta1: Derivation2, theta2: Derivation2) -> bool:

@@ -146,6 +146,27 @@ class TestParseParam:
             parse_param(text)
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("levels", [2, 15, 25, 30])
+    def test_nested_sqrt_never_reaches_sympy(self, levels, monkeypatch):
+        # nsimplify turned 25 and 30 nested roots of 2 into exactly 1
+        import sympy
+
+        def sympify(*args, **kwargs):
+            raise AssertionError("rejected text reached sympy")
+
+        monkeypatch.setattr(sympy, "sympify", sympify)
+        start = time.perf_counter()
+        with pytest.raises(ArrIOError, match="nests sqrt"):
+            parse_param("sqrt(" * levels + "2" + ")" * levels)
+        assert time.perf_counter() - start < 1.0
+
+    def test_nested_sqrt_found_through_parentheses(self):
+        for text in ("1+sqrt(3*(1+sqrt(2)))", "sqrt (sqrt(4))", "(sqrt((sqrt(9))))"):
+            with pytest.raises(ArrIOError, match="nests sqrt"):
+                parse_param(text)
+        x = parse_param("sqrt((2))*(1+sqrt(2))")  # side by side, not nested
+        assert (x.ctx.disc, x.a, x.b) == (2, 2, 1)
+
     def test_large_radicand_rejected_fast(self):
         # trial division would run for hours on this 31-digit prime
         start = time.perf_counter()

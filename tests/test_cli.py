@@ -166,6 +166,22 @@ class TestExitCodes:
         assert main(["scan-family", "family13", "--samples", f"2,{value}"]) == 2
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("levels", [2, 15, 25, 30])
+    def test_nested_sqrt_param(self, capsys, levels):
+        value = "sqrt(" * levels + "2" + ")" * levels
+        start = time.perf_counter()
+        assert main(["charpoly", f"catalog:family13?lambda={value}"]) == 2
+        assert main(["catalog", "get", "family13", "--param", value]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "nests sqrt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["21", "100000000"])
+    def test_classify_max_capped(self, capsys, value):
+        start = time.perf_counter()
+        assert main(["classify-profiles", "--max", value]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "--max must be at most 20" in capsys.readouterr().err
+
     def test_missing_param(self, capsys):
         assert main(["freeness", "catalog:family13"]) == 2
 

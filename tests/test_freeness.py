@@ -8,6 +8,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from freearr.catalog import (
     dual_hesse,
@@ -19,9 +20,9 @@ from freearr.catalog import (
     g443,
     pentagonal,
 )
+from freearr import freeness
 from freearr.freeness import (
     Derivation2,
-    ExponentPair,
     FreenessError,
     MultiArr2,
     abt_test,
@@ -34,11 +35,69 @@ from freearr.freeness import (
 )
 from freearr.geometry import Arrangement, Line
 from freearr.lattice import char_poly, compute_lattice
-from freearr.scalar import RATIONAL, FieldCtx
+from freearr.scalar import RATIONAL, FieldCtx, Poly
 
 
 def scalars(ctx, values):
     return tuple(ctx.scalar(v) for v in values)
+
+
+def oracle_multi_exponents(M):
+    """The degree loop that searched up to total // 2 inclusive.
+
+    Over a function field it falls back to symbolic elimination at every
+    degree where one specialisation is inconclusive, so it always solves at
+    the top degree.  Returns (e1, e2, witness).
+    """
+    ctx = M.ctx
+    total = M.total
+    for d in range(total // 2 + 1):
+        rows = []
+        for (p, q), m in zip(M.forms, M.mult):
+            for arow, brow in freeness._divisibility_rows(ctx, p, q, m, d):
+                rows.append(arow + brow)
+        if ctx.parametric and freeness._full_rank_at_specialization(ctx, rows, 2 * (d + 1)):
+            continue
+        if ctx.parametric:
+            vec = freeness._kernel_vector_parametric(ctx, rows, 2 * (d + 1))
+        else:
+            vec = freeness._kernel_vector(ctx, rows, 2 * (d + 1))
+        if vec is not None:
+            theta = Derivation2(tuple(vec[: d + 1]), tuple(vec[d + 1 :]))
+            for (p, q), m in zip(M.forms, M.mult):
+                assert freeness._form_divisible(ctx, theta.applied_to(p, q), p, q, m)
+            return d, total - d, theta
+    raise AssertionError("no derivation found up to total/2")
+
+
+GOLDEN = FieldCtx(5).scalar(Fraction(1, 2)) + FieldCtx(5).sqrt_gen() / 2
+
+
+FIBRES = {
+    "family13": (-1, 2, 3, 5, Fraction(2, 3), GOLDEN, FieldCtx(-3).sqrt_gen()),
+    "family15": (2, 5, Fraction(1, 5)),
+}
+CASE_IDS = ["dual_hesse", "pentagonal", "g443", "eleven_if"] + [
+    f"{name}({v})" for name, values in FIBRES.items() for v in values
+]
+
+
+def catalog_and_fibres():
+    """The 4 catalog arrangements and 10 family fibres, 11 of them on the restriction route."""
+    cases = [dual_hesse(), pentagonal(), g443(), eleven_if()]
+    cases += [family13(v) for v in FIBRES["family13"]]
+    cases += [family15(v) for v in FIBRES["family15"]]
+    return cases
+
+
+@pytest.fixture(scope="module")
+def symbolic_restrictions():
+    """The restriction onto the line ``is_free`` picks, for each symbolic family."""
+    out = {}
+    for fam in (family13_family(), family13_family(sqrt3=True), family15_family()):
+        A = fam.arrangement()
+        out[fam.name] = ziegler_restriction(A, is_free(A).witness["restriction"])
+    return out
 
 
 TRIANGLE = Arrangement(RATIONAL, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
@@ -234,13 +293,8 @@ class TestRestrictionCertificate:
     """
 
     def test_stored_pair_equals_fresh_restriction(self):
-        golden = FieldCtx(5).scalar(Fraction(1, 2)) + FieldCtx(5).sqrt_gen() / 2
-        sqrt_m3 = FieldCtx(-3).sqrt_gen()
-        cases = [dual_hesse(), pentagonal(), g443(), eleven_if()]
-        cases += [family13(v) for v in (-1, 2, 3, 5, Fraction(2, 3), golden, sqrt_m3)]
-        cases += [family15(v) for v in (2, 5, Fraction(1, 5))]
         yoshinaga = 0
-        for A in cases:
+        for A in catalog_and_fibres():
             r = is_free(A)
             if r.route != "yoshinaga":
                 assert r.restriction_pair is None
@@ -256,6 +310,121 @@ class TestRestrictionCertificate:
         r = yoshinaga_test(NONFREE_PIVOT, c, 0)
         assert r.verdict == "nonfree"
         assert r.restriction_pair == multi_exponents(ziegler_restriction(NONFREE_PIVOT, 0))
+
+
+class TestDegreeLoopOracle:
+    """multi_exponents against the old degree loop kept above as the oracle."""
+
+    @pytest.mark.parametrize("A", catalog_and_fibres(), ids=CASE_IDS)
+    def test_every_restriction_of_catalog_and_fibres(self, A):
+        for h in range(len(A)):
+            M = ziegler_restriction(A, h)
+            e1, e2, theta = oracle_multi_exponents(M)
+            pair = multi_exponents(M)
+            assert (pair.e1, pair.e2) == (e1, e2), h
+            assert pair.witness == theta, h
+            assert pair.certificate == ()
+
+    def test_symbolic_restrictions(self, symbolic_restrictions):
+        for name, M in symbolic_restrictions.items():
+            e1, e2, _ = oracle_multi_exponents(M)
+            pair = multi_exponents(M)
+            assert (pair.e1, pair.e2) == (e1, e2) == (M.total // 2, M.total // 2), name
+
+    def test_lazy_witness_matches_oracle_over_function_field(self, symbolic_restrictions):
+        M = symbolic_restrictions["family13"]
+        pair = multi_exponents(M)
+        assert pair._witness is None  # nothing solved until the witness is read
+        assert pair.witness == oracle_multi_exponents(M)[2]
+        assert pair.witness.degree == pair.e1
+
+    def test_rank_drop_falls_back_to_symbolic_elimination(
+        self, symbolic_restrictions, monkeypatch
+    ):
+        expected = {"family13": (6, 6), "family13_sqrt3": (6, 6), "family15": (7, 7)}
+        monkeypatch.setattr(freeness, "_full_rank_at_specialization", lambda *a: None)
+        for name, M in symbolic_restrictions.items():
+            pair = multi_exponents(M)
+            assert tuple(pair) == expected[name], name
+            assert pair.certificate == ()
+
+    def test_rank_drop_at_specialisation_finds_kernel(self):
+        # four simple points over Q(t): the Euler derivation gives e1 = 1 <
+        # total // 2, a square system whose rank drops at every t = c
+        ctx = FieldCtx(None, True)
+        t = ctx.scalar(Poly.from_rationals(ctx, [0, 1]))
+        M = MultiArr2(ctx, [(1, 0), (0, 1), (1, 1), (1, t)], [1, 1, 1, 1])
+        pair = multi_exponents(M)
+        assert (pair.e1, pair.e2) == (1, 3) == oracle_multi_exponents(M)[:2]
+        assert [d for d, _ in pair.certificate] == [0]
+        assert pair._witness is not None and pair.witness.degree == 1
+
+
+class TestSpecialisationCertificate:
+    """Each (d, c) of the certificate is re-checked with sympy as the oracle.
+
+    The degree-d system is rebuilt from the forms specialised at t = c,
+    without freearr's row code: (p*u + q*v)^m divides g = p*f_u + q*f_v iff
+    the u-derivatives of g below order m vanish at (u, v) = (-q, p) (for
+    p = 0, the v-derivatives at (1, 0)).  Entries a + b*sqrt(D) become the
+    rational blocks [[a, D*b], [b, a]], so the rank over Q(sqrt(D)) is half
+    the rank of a rational matrix, and ``sympy.Matrix.rank`` is exact.
+    """
+
+    @staticmethod
+    def specialised_rank(M, d, c):
+        u, v = sympy.symbols("u v")
+        s = sympy.Symbol("s")  # sqrt(D)
+        D = M.ctx.disc
+        a = sympy.symbols(f"a0:{d + 1}")
+        b = sympy.symbols(f"b0:{d + 1}")
+
+        def to_sympy(x):
+            x = x.eval(c)
+            return sympy.Rational(x.a.numerator, x.a.denominator) + s * sympy.Rational(
+                x.b.numerator, x.b.denominator
+            )
+
+        f_u = sum(a[k] * u**k * v ** (d - k) for k in range(d + 1))
+        f_v = sum(b[k] * u**k * v ** (d - k) for k in range(d + 1))
+        rows = []
+        for (p, q), m in zip(M.forms, M.mult):
+            p, q = to_sympy(p), to_sympy(q)
+            g = p * f_u + q * f_v
+            var, at = (u, {u: -q, v: p}) if p != 0 else (v, {u: 1, v: 0})
+            for j in range(m):
+                cond = sympy.expand(sympy.diff(g, var, j).subs(at))
+                rows.append([sympy.expand(cond.coeff(x)) for x in a + b])
+        if D is None:
+            return sympy.Matrix([[e.subs(s, 0) for e in row] for row in rows]).rank()
+
+        def block(e):
+            e = sympy.Poly(sympy.rem(e, s**2 - D, s), s)
+            lo, hi = e.coeff_monomial(1), e.coeff_monomial(s)
+            return [[lo, D * hi], [hi, lo]]
+
+        big = []
+        for row in rows:
+            blocks = [block(e) for e in row]
+            for i in range(2):
+                big.append([x for blk in blocks for x in blk[i]])
+        rank = sympy.Matrix(big).rank()
+        assert rank % 2 == 0
+        return rank // 2
+
+    def test_certificate_rechecks(self, symbolic_restrictions):
+        for name, M in symbolic_restrictions.items():
+            pair = multi_exponents(M)
+            assert [d for d, _ in pair.certificate] == list(range(M.total // 2)), name
+            for d, c in pair.certificate:
+                assert self.specialised_rank(M, d, c) == 2 * (d + 1), (name, d)
+
+    def test_oracle_sees_the_kernel_at_half_total(self, symbolic_restrictions):
+        # at e1 the same oracle reports the rank drop the witness implies
+        M = symbolic_restrictions["family13"]
+        c = multi_exponents(M).certificate[0][1]
+        d = M.total // 2
+        assert self.specialised_rank(M, d, c) < 2 * (d + 1)
 
 
 class TestPipeline:
