@@ -37,6 +37,7 @@ __all__ = [
 
 
 MAX_PARAM_CHARS = 200
+MAX_LINES = 64  # lines in one arrangement file
 MAX_RADICAND = 10**12  # squarefree_decompose trial-divides up to its square root
 _PARAM_TEXT = re.compile(r"(?:[0-9.+\-*/()\s]|sqrt|I)*")
 
@@ -110,6 +111,10 @@ def decode_arrangement(obj: dict) -> Arrangement:
         raise ArrIOError("'sqrt' must be an integer")
     if disc is not None and abs(disc) > MAX_RADICAND:
         raise ArrIOError(f"'sqrt' must be at most {MAX_RADICAND} in absolute value")
+    if not isinstance(obj["lines"], (list, tuple)):
+        raise ArrIOError("'lines' must be a list")
+    if len(obj["lines"]) > MAX_LINES:
+        raise ArrIOError(f"an arrangement file holds at most {MAX_LINES} lines")
     ctx = FieldCtx(disc, bool(fld.get("param", False)))
     triples = []
     for raw in obj["lines"]:

@@ -62,6 +62,8 @@ EXIT_SELFCHECK = 4
 EXIT_NOT_DRAWABLE = 5
 
 MAX_CLASSIFY_LINES = 20
+MAX_INPUT_CHARS = 100_000  # characters in one JSON input file
+MAX_SIZE_GROWTH = 6  # recursive --max-size: at most the input size plus this
 
 # The most specific class in an exception's MRO picks its exit code.
 _EXIT_CODES = {
@@ -85,10 +87,14 @@ def _load_input(spec: str) -> Arrangement:
         return catalog_get(rest, param)
     try:
         with open(spec, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as e:
+            text = fh.read(MAX_INPUT_CHARS + 1)
+    except (OSError, UnicodeDecodeError) as e:
         raise ArrIOError(f"cannot read {spec}: {e}") from e
-    except json.JSONDecodeError as e:
+    if len(text) > MAX_INPUT_CHARS:
+        raise ArrIOError(f"{spec} is longer than {MAX_INPUT_CHARS} characters")
+    try:
+        obj = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as e:
         raise ArrIOError(f"malformed JSON in {spec}: {e}") from e
     return decode_arrangement(obj)
 
@@ -173,6 +179,9 @@ def _cmd_inductive(args) -> dict:
 
 def _cmd_recursive(args) -> dict:
     A = _load_input(args.input)
+    if args.max_size is not None and args.max_size > len(A) + MAX_SIZE_GROWTH:
+        # the search adds lines up to this size; its cost grows steeply with it
+        raise ArrIOError(f"--max-size must be at most the input size plus {MAX_SIZE_GROWTH}")
     v = recursive_freeness_bounded(A, max_size=args.max_size)
     return {"verdict": v.kind, "chain": _chain_json(v.chain), "certificate": v.certificate}
 
@@ -244,7 +253,7 @@ def _cmd_scan_family(args) -> dict:
 
 def _cmd_classify(args) -> dict:
     if args.max > MAX_CLASSIFY_LINES:
-        # the enumeration grows steeply: about 4 s at 20 lines, 60 s at 23
+        # the enumeration grows about 2x per line: 0.2 s at 20 lines, 1.6 s at 23
         raise ArrIOError(f"--max must be at most {MAX_CLASSIFY_LINES}")
     triples = classify_profiles(args.max)
     return {

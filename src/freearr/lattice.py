@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .geometry import Arrangement, Line, Point, meet
@@ -267,22 +268,53 @@ class AutomorphismGroup:
     generators: tuple[tuple[int, ...], ...]
 
 
-def _line_invariants(flats: Sequence[frozenset[int]], n_by_line) -> list[tuple]:
+def _twin_classes(flats: Sequence[frozenset[int]], nlines: int) -> list[tuple[int, ...]]:
+    """Lines grouped by the set of big flats they lie on, by first line.
+
+    Every big flat is a union of classes, and a permutation inside one class
+    fixes every flat, so the symmetry search needs one line per class.  The
+    lines on no big flat form one class.
+    """
+    through: list[list[int]] = [[] for _ in range(nlines)]
+    for k, f in enumerate(flats):
+        for i in f:
+            through[i].append(k)
+    by_flats: dict[tuple[int, ...], list[int]] = {}
+    for i in range(nlines):
+        by_flats.setdefault(tuple(through[i]), []).append(i)
+    return [tuple(c) for c in by_flats.values()]
+
+
+def _line_invariants(
+    flats: Sequence[frozenset[int]], n_by_line, classes: Sequence[tuple[int, ...]]
+) -> list[tuple]:
     sizes: list[list[int]] = [[] for _ in n_by_line]
     for f in flats:
         for i in f:
             sizes[i].append(len(f))
-    return [(n, tuple(sorted(s))) for n, s in zip(n_by_line, sizes)]
+    twins = [0] * len(n_by_line)
+    for c in classes:
+        for i in c:
+            twins[i] = len(c)
+    return [(n, tuple(sorted(s)), t) for n, s, t in zip(n_by_line, sizes, twins)]
 
 
-def _pair_flat_size(flats: Sequence[frozenset[int]]) -> dict[tuple[int, int], int]:
-    out: dict[tuple[int, int], int] = {}
-    for f in flats:
-        fl = sorted(f)
-        for ai in range(len(fl)):
-            for bi in range(ai + 1, len(fl)):
-                out[(fl[ai], fl[bi])] = len(f)
-    return out
+def _symmetry_data(L: LatticeData):
+    """Big flats, twin classes and per-line invariants of a lattice."""
+    flats = L.big_flats()
+    classes = _twin_classes(flats, L.nlines)
+    return flats, classes, _line_invariants(flats, L.n_by_line, classes)
+
+
+def _pair_flat(flats: Sequence[frozenset[int]], nlines: int) -> list[list[int]]:
+    """pair[i][j]: index of the big flat through lines i and j, or -1."""
+    pair = [[-1] * nlines for _ in range(nlines)]
+    for k, f in enumerate(flats):
+        for i in f:
+            row = pair[i]
+            for j in f:
+                row[j] = k
+    return pair
 
 
 def _support_maps(
@@ -294,72 +326,143 @@ def _support_maps(
     dst_inv: Sequence[tuple],
     first_only: bool,
 ):
-    """Backtracking search for support-line bijections mapping flats onto flats."""
-    src_pair = _pair_flat_size(src_flats)
-    dst_pair = _pair_flat_size(dst_flats)
-    dst_flat_set = {f for f in dst_flats}
-    results: list[dict[int, int]] = []
-    assigned: dict[int, int] = {}
-    used: set[int] = set()
-    order = list(src_support)
+    """Backtracking search for support-line bijections mapping flats onto flats.
 
-    def consistent(i: int, img: int) -> bool:
-        for j, jm in assigned.items():
-            a, b = (j, i) if j < i else (i, j)
-            c, d = (jm, img) if jm < img else (img, jm)
-            if src_pair.get((a, b), 2) != dst_pair.get((c, d), 2):
-                return False
-        return True
+    The partial map carries ``sigma``, the image of each source flat two of
+    whose lines are placed.  Placing line i at img walks the placed lines j
+    once: the pairs {j, i} and {map(j), img} must both lie on no big flat, or
+    on big flats of equal size; then sigma of the source flat must be unset
+    (it is set here, and unset on backtracking) or equal to the target flat,
+    and no other flat may already map there.  Once a flat through i has an
+    image, i's candidates are that image's lines.
+
+    A complete map sends each flat with two placed lines into its image, of
+    equal size, hence onto it.  When the support holds one line per twin
+    class (``_twin_classes``), a flat with one placed line is a single class;
+    the invariants (one flat, of the class's size) then force its image.  So
+    every complete map maps the flats bijectively and needs no final check.
+    """
+    nlines = 1 + max(chain(src_support, dst_support, *src_flats, *dst_flats), default=-1)
+    src_pair = _pair_flat(src_flats, nlines)
+    dst_pair = _pair_flat(dst_flats, nlines)
+    src_size = [len(f) for f in src_flats]
+    dst_size = [len(f) for f in dst_flats]
+    dst_lines = [[i for i in dst_support if i in f] for f in dst_flats]
+    # Place next the line with the most flats that already hold two placed
+    # lines, then the most placed lines met on a flat: its image is the most
+    # constrained, whatever the labelling.  anchor[k] is a flat through
+    # order[k] with two earlier lines, whose image is fixed by then, or -1.
+    through = {i: [k for k, f in enumerate(src_flats) if i in f] for i in src_support}
+    placed = [0] * len(src_flats)
+    rest = list(src_support)
+    order: list[int] = []
+    anchor: list[int] = []
+    while rest:
+        i = max(
+            rest,
+            key=lambda j: (
+                sum(placed[k] >= 2 for k in through[j]),
+                sum(placed[k] for k in through[j]),
+                len(through[j]),
+            ),
+        )
+        rest.remove(i)
+        order.append(i)
+        anchor.append(next((k for k in through[i] if placed[k] >= 2), -1))
+        for k in through[i]:
+            placed[k] += 1
+    sigma = [-1] * len(src_flats)
+    taken = [False] * len(dst_flats)
+    used = [False] * nlines
+    images: list[int] = []
+    results: list[dict[int, int]] = []
 
     def rec(k: int) -> bool:
         if k == len(order):
-            for f in src_flats:
-                if frozenset(assigned[i] for i in f) not in dst_flat_set:
-                    return False
-            results.append(dict(assigned))
+            results.append(dict(zip(order, images)))
             return first_only
         i = order[k]
-        for img in dst_support:
-            if img in used or dst_inv[img] != src_inv[i]:
+        inv = src_inv[i]
+        srow = src_pair[i]
+        a = anchor[k]
+        for img in dst_lines[sigma[a]] if a >= 0 else dst_support:
+            if used[img] or dst_inv[img] != inv:
                 continue
-            if not consistent(i, img):
-                continue
-            assigned[i] = img
-            used.add(img)
-            if rec(k + 1):
-                return True
-            del assigned[i]
-            used.discard(img)
+            drow = dst_pair[img]
+            fixed = []
+            for j, jm in zip(order, images):
+                fs, fd = srow[j], drow[jm]
+                if fs < 0:
+                    if fd >= 0:
+                        break
+                elif fd < 0:
+                    break
+                elif sigma[fs] != fd:
+                    if sigma[fs] >= 0 or taken[fd] or src_size[fs] != dst_size[fd]:
+                        break
+                    sigma[fs] = fd
+                    taken[fd] = True
+                    fixed.append(fs)
+            else:
+                used[img] = True
+                images.append(img)
+                if rec(k + 1):
+                    return True
+                images.pop()
+                used[img] = False
+            for fs in fixed:
+                taken[sigma[fs]] = False
+                sigma[fs] = -1
         return False
 
     rec(0)
+    del rec  # rec refers to itself: break the cycle so its state is freed now
     return results
+
+
+def _full_map(
+    m: dict[int, int],
+    src: dict[int, tuple[int, ...]],
+    dst: dict[int, tuple[int, ...]],
+    nlines: int,
+) -> tuple[int, ...]:
+    """Line permutation extending a map of class representatives.
+
+    ``src`` and ``dst`` send each representative to its twin class.  The k-th
+    line of a class goes to the k-th line of its image class; a line that
+    represents no class maps only itself.
+    """
+    perm = list(range(nlines))
+    for i, img in m.items():
+        for a, b in zip(src.get(i, (i,)), dst.get(img, (img,))):
+            perm[a] = b
+    return tuple(perm)
+
+
+def _maps_flats(
+    perm: Sequence[int], src_flats: Sequence[frozenset[int]], dst_flats: Sequence[frozenset[int]]
+) -> bool:
+    return {frozenset(perm[i] for i in f) for f in src_flats} == set(dst_flats)
 
 
 def lattice_automorphisms(L: LatticeData) -> AutomorphismGroup:
     """Full group of line permutations preserving the incident-set system.
 
-    Lines that lie on no flat of multiplicity >= 3 are freely permutable among
-    themselves; the backtracking runs on the remaining support lines only, so
-    the order is exact even when the free part is large.
+    Lines that lie on the same big flats (a twin class, such as the lines on
+    no flat of multiplicity >= 3) are freely permutable among themselves.  The
+    backtracking runs on one line per class, so the order, |reduced group|
+    times the product of s_c! over the class sizes s_c, is exact even when a
+    class is large.
     """
     n = L.nlines
-    flats = L.big_flats()
-    support = sorted({i for f in flats for i in f})
-    free = [i for i in range(n) if i not in set(support)]
-    inv = _line_invariants(flats, L.n_by_line)
-    support_maps = _support_maps(flats, flats, support, support, inv, inv, False)
-    order = len(support_maps) * math.factorial(len(free))
+    flats, classes, inv = _symmetry_data(L)
+    reps = [c[0] for c in classes]
+    support_maps = _support_maps(flats, flats, reps, reps, inv, inv, False)
+    order = len(support_maps) * math.prod(math.factorial(len(c)) for c in classes)
     generators: list[tuple[int, ...]] = []
     # reduce the support automorphisms to a generating set by closure
     closure: set[tuple[int, ...]] = set()
     identity = tuple(range(n))
-
-    def full_perm(m: dict[int, int]) -> tuple[int, ...]:
-        perm = list(range(n))
-        for i, img in m.items():
-            perm[i] = img
-        return tuple(perm)
 
     def close(gens: list[tuple[int, ...]]) -> set[tuple[int, ...]]:
         group = {identity}
@@ -375,7 +478,8 @@ def lattice_automorphisms(L: LatticeData) -> AutomorphismGroup:
             frontier = nxt
         return group
 
-    support_perms = sorted(full_perm(m) for m in support_maps)
+    twins = {c[0]: c for c in classes}
+    support_perms = sorted(_full_map(m, twins, twins, n) for m in support_maps)
     for perm in support_perms:
         if perm == identity:
             continue
@@ -385,19 +489,19 @@ def lattice_automorphisms(L: LatticeData) -> AutomorphismGroup:
         closure = close(generators)
         if len(closure) == len(support_maps):
             break
-    if len(free) >= 2:
-        swap = list(range(n))
-        swap[free[0]], swap[free[1]] = swap[free[1]], swap[free[0]]
-        generators.append(tuple(swap))
-        if len(free) > 2:
+    for c in classes:
+        if len(c) >= 2:
+            swap = list(range(n))
+            swap[c[0]], swap[c[1]] = swap[c[1]], swap[c[0]]
+            generators.append(tuple(swap))
+        if len(c) > 2:
             cyc = list(range(n))
-            for a, b in zip(free, free[1:] + free[:1]):
+            for a, b in zip(c, c[1:] + c[:1]):
                 cyc[a] = b
             generators.append(tuple(cyc))
     # verify every generator preserves the flat family
-    flat_set = set(flats)
     for g in generators:
-        if {frozenset(g[i] for i in f) for f in flats} != flat_set:
+        if not _maps_flats(g, flats, flats):
             raise RuntimeError(
                 f"internal check failed: generator {g} does not preserve the flats"
             )
@@ -406,20 +510,15 @@ def lattice_automorphisms(L: LatticeData) -> AutomorphismGroup:
 
 def lattice_isomorphic(L1: LatticeData, L2: LatticeData) -> bool:
     """True iff a line bijection maps the incident-set system of L1 onto L2's."""
-    if L1.nlines != L2.nlines:
+    # equal profiles give equal multisets of big-flat sizes
+    if L1.nlines != L2.nlines or L1.profile != L2.profile:
         return False
-    if L1.profile != L2.profile:
-        return False
-    f1, f2 = L1.big_flats(), L2.big_flats()
-    if sorted(len(f) for f in f1) != sorted(len(f) for f in f2):
-        return False
-    s1 = sorted({i for f in f1 for i in f})
-    s2 = sorted({i for f in f2 for i in f})
-    if len(s1) != len(s2):
-        return False
-    inv1 = _line_invariants(f1, L1.n_by_line)
-    inv2 = _line_invariants(f2, L2.n_by_line)
+    f1, c1, inv1 = _symmetry_data(L1)
+    f2, c2, inv2 = _symmetry_data(L2)
     if sorted(inv1) != sorted(inv2):
         return False
-    maps = _support_maps(f1, f2, s1, s2, inv1, inv2, True)
+    maps = _support_maps(f1, f2, [c[0] for c in c1], [c[0] for c in c2], inv1, inv2, True)
+    twins1, twins2 = {c[0]: c for c in c1}, {c[0]: c for c in c2}
+    if maps and not _maps_flats(_full_map(maps[0], twins1, twins2, L1.nlines), f1, f2):
+        raise RuntimeError("internal check failed: the line bijection does not map the flats")
     return bool(maps)

@@ -337,21 +337,36 @@ def classify_profiles(ell_max: int) -> list[ProfileTriple]:
     for ell in range(7, ell_max + 1):
         for a in range(3, (ell - 1) // 2 + 1):
             s1 = (ell - 1) * (a + 1) - a * a
-            s2 = math.comb(ell, 2)
-            if s1 < 0:
-                continue
-            width = a - 2
-
-            def rec(i: int, rem1: int, rem2: int, rem3: int, acc: tuple[int, ...]) -> None:
-                if i == 0:
-                    if rem1 == 0 and rem2 == 0:
-                        out.append(ProfileTriple(ell, a, acc))
-                    return
-                w2 = math.comb(i + 1, 2)
-                top = min(rem1 // i, rem2 // w2, rem3 // (i + 1))
-                for f in range(top + 1):
-                    rec(i - 1, rem1 - i * f, rem2 - w2 * f, rem3 - (i + 1) * f, (f,) + acc)
-
-            rec(width, s1, s2, a * ell, ())
+            if s1 >= 0:
+                _profiles_below(out, ell, a, a - 2, s1, math.comb(ell, 2), a * ell, ())
     out.sort(key=lambda p: (p.ell, p.a, p.profile))
     return out
+
+
+def _profiles_below(
+    out: list[ProfileTriple],
+    ell: int,
+    a: int,
+    i: int,
+    rem1: int,
+    rem2: int,
+    rem3: int,
+    acc: tuple[int, ...],
+) -> None:
+    """Append the profiles that complete ``acc`` with entries F_1..F_i.
+
+    The remaining entries must give sum j*F_j = rem1 and sum C(j+1, 2)*F_j =
+    rem2.  Since C(j+1, 2)/j = (j+1)/2 lies in [1, (i+1)/2] for 1 <= j <= i,
+    that needs rem1 <= rem2 <= rem1*(i+1)/2; at i = 0 it reads rem1 = rem2 = 0.
+    """
+    if rem2 < rem1 or 2 * rem2 > rem1 * (i + 1):
+        return
+    if i == 0:
+        out.append(ProfileTriple(ell, a, acc))
+        return
+    w2 = math.comb(i + 1, 2)
+    top = min(rem1 // i, rem2 // w2, rem3 // (i + 1))
+    for f in range(top + 1):
+        _profiles_below(
+            out, ell, a, i - 1, rem1 - i * f, rem2 - w2 * f, rem3 - (i + 1) * f, (f,) + acc
+        )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import time
 
 import pytest
@@ -181,6 +182,40 @@ class TestExitCodes:
         assert main(["classify-profiles", "--max", value]) == 2
         assert time.perf_counter() - start < 1.0
         assert "--max must be at most 20" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # 65 lines, one over the cap
+            json.dumps({"lines": [["1", str(k), "0"] for k in range(65)]}),
+            # over 100000 characters, though each line is short
+            json.dumps({"lines": [["1", "0", "0"]], "pad": "x" * 100_000}),
+            # nested deeper than the JSON decoder recurses
+            "[" * 100_000,
+        ],
+        ids=["lines", "characters", "nesting"],
+    )
+    def test_oversized_json_input(self, capsys, tmp_path, text):
+        f = tmp_path / "big.json"
+        f.write_text(text)
+        start = time.perf_counter()
+        assert main(["aut", str(f)]) == 2
+        assert time.perf_counter() - start < 1.0
+
+    def test_json_input_at_the_line_cap(self, capsys, tmp_path):
+        f = tmp_path / "pencil.json"
+        f.write_text(json.dumps({"lines": [["1", str(k), "0"] for k in range(64)]}))
+        obj = run_json(capsys, "aut", str(f))
+        assert obj["order"] == math.factorial(64)
+
+    def test_recursive_max_size_capped(self, capsys):
+        start = time.perf_counter()
+        assert main(["recursive", "catalog:dual_hesse", "--max-size", "16"]) == 2
+        assert main(["recursive", "catalog:dual_hesse", "--max-size", "1000000000"]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "--max-size must be at most the input size plus 6" in capsys.readouterr().err
+        obj = run_json(capsys, "recursive", "catalog:dual_hesse", "--max-size", "15")
+        assert obj["verdict"] == "yes"
 
     def test_missing_param(self, capsys):
         assert main(["freeness", "catalog:family13"]) == 2

@@ -3,8 +3,10 @@ and lattice automorphisms/isomorphism."""
 
 from __future__ import annotations
 
+import gc
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -23,6 +25,181 @@ from freearr.lattice import (
     restrict_lattice,
 )
 from freearr.scalar import RATIONAL, FieldCtx
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the pair-size-only backtracking search that the flat-image search in
+# freearr.lattice replaced, with the automorphism and isomorphism wrappers of
+# that time.  It checks every flat only at the leaves, so it is slow (1-5 s on
+# dual_hesse and g443) but independent of sigma, anchors and twin classes.
+
+
+def oracle_pair_flat_size(flats):
+    out = {}
+    for f in flats:
+        fl = sorted(f)
+        for ai in range(len(fl)):
+            for bi in range(ai + 1, len(fl)):
+                out[(fl[ai], fl[bi])] = len(f)
+    return out
+
+
+def oracle_invariants(flats, n_by_line):
+    sizes = [[] for _ in n_by_line]
+    for f in flats:
+        for i in f:
+            sizes[i].append(len(f))
+    return [(n, tuple(sorted(s))) for n, s in zip(n_by_line, sizes)]
+
+
+def oracle_support_maps(src_flats, dst_flats, src_support, dst_support, src_inv, dst_inv, first_only):
+    src_pair = oracle_pair_flat_size(src_flats)
+    dst_pair = oracle_pair_flat_size(dst_flats)
+    dst_flat_set = set(dst_flats)
+    results = []
+    assigned = {}
+    used = set()
+    order = list(src_support)
+
+    def consistent(i, img):
+        for j, jm in assigned.items():
+            a, b = (j, i) if j < i else (i, j)
+            c, d = (jm, img) if jm < img else (img, jm)
+            if src_pair.get((a, b), 2) != dst_pair.get((c, d), 2):
+                return False
+        return True
+
+    def rec(k):
+        if k == len(order):
+            for f in src_flats:
+                if frozenset(assigned[i] for i in f) not in dst_flat_set:
+                    return False
+            results.append(dict(assigned))
+            return first_only
+        i = order[k]
+        for img in dst_support:
+            if img in used or dst_inv[img] != src_inv[i]:
+                continue
+            if not consistent(i, img):
+                continue
+            assigned[i] = img
+            used.add(img)
+            if rec(k + 1):
+                return True
+            del assigned[i]
+            used.discard(img)
+        return False
+
+    rec(0)
+    return results
+
+
+def oracle_automorphisms(L):
+    n = L.nlines
+    flats = L.big_flats()
+    support = sorted({i for f in flats for i in f})
+    free = [i for i in range(n) if i not in set(support)]
+    inv = oracle_invariants(flats, L.n_by_line)
+    maps = oracle_support_maps(flats, flats, support, support, inv, inv, False)
+    identity = tuple(range(n))
+
+    def close(gens):
+        group = {identity}
+        frontier = [identity]
+        while frontier:
+            nxt = []
+            for g in frontier:
+                for h in gens:
+                    comp = tuple(g[h[i]] for i in range(n))
+                    if comp not in group:
+                        group.add(comp)
+                        nxt.append(comp)
+            frontier = nxt
+        return group
+
+    def full_perm(m):
+        perm = list(range(n))
+        for i, img in m.items():
+            perm[i] = img
+        return tuple(perm)
+
+    generators = []
+    closure = set()
+    for perm in sorted(full_perm(m) for m in maps):
+        if perm == identity or perm in closure:
+            continue
+        generators.append(perm)
+        closure = close(generators)
+        if len(closure) == len(maps):
+            break
+    if len(free) >= 2:
+        swap = list(range(n))
+        swap[free[0]], swap[free[1]] = swap[free[1]], swap[free[0]]
+        generators.append(tuple(swap))
+        if len(free) > 2:
+            cyc = list(range(n))
+            for a, b in zip(free, free[1:] + free[:1]):
+                cyc[a] = b
+            generators.append(tuple(cyc))
+    return len(maps) * math.factorial(len(free)), tuple(generators)
+
+
+def oracle_isomorphic(L1, L2):
+    if L1.nlines != L2.nlines or L1.profile != L2.profile:
+        return False
+    f1, f2 = L1.big_flats(), L2.big_flats()
+    s1 = sorted({i for f in f1 for i in f})
+    s2 = sorted({i for f in f2 for i in f})
+    inv1 = oracle_invariants(f1, L1.n_by_line)
+    inv2 = oracle_invariants(f2, L2.n_by_line)
+    if len(s1) != len(s2) or sorted(inv1) != sorted(inv2):
+        return False
+    return bool(oracle_support_maps(f1, f2, s1, s2, inv1, inv2, True))
+
+
+def group_of(generators, n):
+    identity = tuple(range(n))
+    group = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for h in generators:
+                q = tuple(p[h[i]] for i in range(n))
+                if q not in group:
+                    group.add(q)
+                    nxt.append(q)
+        frontier = nxt
+    return group
+
+
+def relabelled(A, seed):
+    lines = list(A.lines)
+    random.Random(seed).shuffle(lines)
+    return Arrangement(A.ctx, lines)
+
+
+def near_pencil(k):
+    """k lines through (0:0:1) and the line z = 0."""
+    return Arrangement(
+        RATIONAL, [(1, j, 0) for j in range(k - 1)] + [(0, 1, 0), (0, 0, 1)]
+    )
+
+
+GOLDEN = FieldCtx(5).scalar(Fraction(1, 2)) + FieldCtx(5).sqrt_gen() / 2
+SMALL_CASES = {
+    "pentagonal": pentagonal,
+    "eleven_if": eleven_if,
+    "family13(-1)": lambda: family13(-1),
+    "family13(3)": lambda: family13(3),
+    "family13(2/3)": lambda: family13(Fraction(2, 3)),
+    "family13(golden)": lambda: family13(GOLDEN),
+    "family13(sqrt-3)": lambda: family13(FieldCtx(-3).sqrt_gen()),
+    "family15(2)": lambda: family15(2),
+    "family15(5)": lambda: family15(5),
+    "family15(1/5)": lambda: family15(Fraction(1, 5)),
+}
+CATALOG = {"dual_hesse": dual_hesse, "g443": g443, **SMALL_CASES}
 
 
 def random_arrangement(rng: random.Random, max_lines: int = 10) -> Arrangement:
@@ -231,6 +408,18 @@ class TestAutomorphisms:
             lattice_automorphisms(lat)
 
 
+    def test_search_leaves_no_reference_cycle(self):
+        lat = compute_lattice(dual_hesse())
+        gc.collect()
+        gc.disable()
+        try:
+            lattice_automorphisms(lat)
+            lattice_isomorphic(lat, lat)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
 class TestIsomorphism:
     def test_self_isomorphic(self):
         lat = compute_lattice(g443())
@@ -258,3 +447,76 @@ class TestIsomorphism:
         random.Random(5).shuffle(shuffled)
         B = Arrangement(A.ctx, shuffled)
         assert lattice_isomorphic(compute_lattice(A), compute_lattice(B))
+
+
+class TestSymmetryOracle:
+    """The flat-image search against the pair-size-only oracle above."""
+
+    @pytest.mark.parametrize("name", list(SMALL_CASES))
+    def test_automorphisms_match_oracle(self, name):
+        lat = compute_lattice(SMALL_CASES[name]())
+        g = lattice_automorphisms(lat)
+        assert (g.order, g.generators) == oracle_automorphisms(lat)
+
+    @pytest.mark.parametrize("name", ["dual_hesse", "g443"])
+    def test_large_groups_match_oracle(self, name):
+        # the oracle takes 1-5 s on each of these
+        lat = compute_lattice(CATALOG[name]())
+        g = lattice_automorphisms(lat)
+        assert (g.order, g.generators) == oracle_automorphisms(lat)
+
+    def test_isomorphism_verdicts_match_oracle(self):
+        lats = {name: compute_lattice(build()) for name, build in SMALL_CASES.items()}
+        lats["pentagonal'"] = compute_lattice(relabelled(pentagonal(), 1))
+        lats["family15(2)'"] = compute_lattice(relabelled(family15(2), 2))
+        verdicts = []
+        for a in lats:
+            for b in lats:
+                got = lattice_isomorphic(lats[a], lats[b])
+                assert got == oracle_isomorphic(lats[a], lats[b]), (a, b)
+                verdicts.append(got)
+        assert True in verdicts and False in verdicts
+        assert not lattice_isomorphic(lats["pentagonal"], lats["eleven_if"])
+
+    @pytest.mark.parametrize("name", list(CATALOG))
+    def test_order_invariant_under_relabelling(self, name):
+        A = CATALOG[name]()
+        lat = compute_lattice(A)
+        order = lattice_automorphisms(lat).order
+        for seed in range(5):
+            other = compute_lattice(relabelled(A, seed))
+            assert lattice_automorphisms(other).order == order
+            assert lattice_isomorphic(lat, other)
+
+    def test_random_arrangements_match_oracle(self):
+        # small random arrangements often have twin classes: lines on the same
+        # big flats, which the search collapses to one representative
+        rng = random.Random(17)
+        arrs = [random_arrangement(rng, 9) for _ in range(40)]
+        lats = [compute_lattice(A) for A in arrs]
+        for A, lat in zip(arrs, lats):
+            g = lattice_automorphisms(lat)
+            order, gens = oracle_automorphisms(lat)
+            assert g.order == order
+            assert group_of(g.generators, lat.nlines) == group_of(gens, lat.nlines)
+            assert lattice_isomorphic(lat, compute_lattice(relabelled(A, 3)))
+        for L1, L2 in zip(lats, lats[1:] + lats[:1]):
+            assert lattice_isomorphic(L1, L2) == oracle_isomorphic(L1, L2)
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_near_pencil_matches_oracle(self, k):
+        lat = compute_lattice(near_pencil(k))
+        g = lattice_automorphisms(lat)
+        order, gens = oracle_automorphisms(lat)
+        assert g.order == order == math.factorial(k)
+        assert group_of(g.generators, lat.nlines) == group_of(gens, lat.nlines)
+
+    def test_near_pencil_13_lines_is_fast(self):
+        lat = compute_lattice(near_pencil(12))
+        start = time.perf_counter()
+        g = lattice_automorphisms(lat)
+        assert time.perf_counter() - start < 1.0
+        assert g.order == math.factorial(12)
+        reversed_lat = compute_lattice(Arrangement(RATIONAL, near_pencil(12).lines[::-1]))
+        assert lattice_isomorphic(lat, reversed_lat)
+        assert time.perf_counter() - start < 1.0

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+import math
 import random
 from fractions import Fraction
 
@@ -251,7 +253,46 @@ class TestScanFamily:
             checked += 1
 
 
+def oracle_classify_profiles(ell_max):
+    """The unpruned enumeration that ``classify_profiles`` replaced."""
+    out = []
+    for ell in range(7, ell_max + 1):
+        for a in range(3, (ell - 1) // 2 + 1):
+            s1 = (ell - 1) * (a + 1) - a * a
+            if s1 < 0:
+                continue
+
+            def rec(i, rem1, rem2, rem3, acc):
+                if i == 0:
+                    if rem1 == 0 and rem2 == 0:
+                        out.append((ell, a, acc))
+                    return
+                w2 = math.comb(i + 1, 2)
+                top = min(rem1 // i, rem2 // w2, rem3 // (i + 1))
+                for f in range(top + 1):
+                    rec(i - 1, rem1 - i * f, rem2 - w2 * f, rem3 - (i + 1) * f, (f,) + acc)
+
+            rec(a - 2, s1, math.comb(ell, 2), a * ell, ())
+    return sorted(out)
+
+
 class TestClassifyProfiles:
+    @pytest.mark.parametrize("ell_max", [16, 19])
+    def test_pruned_matches_oracle(self, ell_max):
+        got = [(p.ell, p.a, p.profile) for p in classify_profiles(ell_max)]
+        assert got == oracle_classify_profiles(ell_max)
+        if ell_max == 19:
+            assert len(got) == 2835
+
+    def test_leaves_no_reference_cycle(self):
+        gc.collect()
+        gc.disable()
+        try:
+            classify_profiles(16)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_twelve(self):
         got = [(p.ell, p.a, p.profile) for p in classify_profiles(12)]
         assert got == [
@@ -268,8 +309,6 @@ class TestClassifyProfiles:
         assert all(p.ell != 10 for p in classify_profiles(10))
 
     def test_identities_hold(self):
-        import math
-
         for p in classify_profiles(14):
             f = p.profile
             assert len(f) == p.a - 2
