@@ -268,8 +268,8 @@ class AutomorphismGroup:
     generators: tuple[tuple[int, ...], ...]
 
 
-def _twin_classes(flats: Sequence[frozenset[int]], nlines: int) -> list[tuple[int, ...]]:
-    """Lines grouped by the set of big flats they lie on, by first line.
+def _twin_classes(flats: Sequence[frozenset[int]], nlines: int) -> dict[int, tuple[int, ...]]:
+    """Lines grouped by the set of big flats they lie on, keyed by first line.
 
     Every big flat is a union of classes, and a permutation inside one class
     fixes every flat, so the symmetry search needs one line per class.  The
@@ -282,28 +282,28 @@ def _twin_classes(flats: Sequence[frozenset[int]], nlines: int) -> list[tuple[in
     by_flats: dict[tuple[int, ...], list[int]] = {}
     for i in range(nlines):
         by_flats.setdefault(tuple(through[i]), []).append(i)
-    return [tuple(c) for c in by_flats.values()]
+    return {c[0]: tuple(c) for c in by_flats.values()}
 
 
 def _line_invariants(
-    flats: Sequence[frozenset[int]], n_by_line, classes: Sequence[tuple[int, ...]]
+    flats: Sequence[frozenset[int]], n_by_line, twins: dict[int, tuple[int, ...]]
 ) -> list[tuple]:
     sizes: list[list[int]] = [[] for _ in n_by_line]
     for f in flats:
         for i in f:
             sizes[i].append(len(f))
-    twins = [0] * len(n_by_line)
-    for c in classes:
+    class_size = [0] * len(n_by_line)
+    for c in twins.values():
         for i in c:
-            twins[i] = len(c)
-    return [(n, tuple(sorted(s)), t) for n, s, t in zip(n_by_line, sizes, twins)]
+            class_size[i] = len(c)
+    return [(n, tuple(sorted(s)), t) for n, s, t in zip(n_by_line, sizes, class_size)]
 
 
 def _symmetry_data(L: LatticeData):
     """Big flats, twin classes and per-line invariants of a lattice."""
     flats = L.big_flats()
-    classes = _twin_classes(flats, L.nlines)
-    return flats, classes, _line_invariants(flats, L.n_by_line, classes)
+    twins = _twin_classes(flats, L.nlines)
+    return flats, twins, _line_invariants(flats, L.n_by_line, twins)
 
 
 def _pair_flat(flats: Sequence[frozenset[int]], nlines: int) -> list[list[int]]:
@@ -455,10 +455,9 @@ def lattice_automorphisms(L: LatticeData) -> AutomorphismGroup:
     class is large.
     """
     n = L.nlines
-    flats, classes, inv = _symmetry_data(L)
-    reps = [c[0] for c in classes]
-    support_maps = _support_maps(flats, flats, reps, reps, inv, inv, False)
-    order = len(support_maps) * math.prod(math.factorial(len(c)) for c in classes)
+    flats, twins, inv = _symmetry_data(L)
+    support_maps = _support_maps(flats, flats, list(twins), list(twins), inv, inv, False)
+    order = len(support_maps) * math.prod(math.factorial(len(c)) for c in twins.values())
     generators: list[tuple[int, ...]] = []
     # reduce the support automorphisms to a generating set by closure
     closure: set[tuple[int, ...]] = set()
@@ -478,7 +477,6 @@ def lattice_automorphisms(L: LatticeData) -> AutomorphismGroup:
             frontier = nxt
         return group
 
-    twins = {c[0]: c for c in classes}
     support_perms = sorted(_full_map(m, twins, twins, n) for m in support_maps)
     for perm in support_perms:
         if perm == identity:
@@ -489,7 +487,7 @@ def lattice_automorphisms(L: LatticeData) -> AutomorphismGroup:
         closure = close(generators)
         if len(closure) == len(support_maps):
             break
-    for c in classes:
+    for c in twins.values():
         if len(c) >= 2:
             swap = list(range(n))
             swap[c[0]], swap[c[1]] = swap[c[1]], swap[c[0]]
@@ -513,12 +511,11 @@ def lattice_isomorphic(L1: LatticeData, L2: LatticeData) -> bool:
     # equal profiles give equal multisets of big-flat sizes
     if L1.nlines != L2.nlines or L1.profile != L2.profile:
         return False
-    f1, c1, inv1 = _symmetry_data(L1)
-    f2, c2, inv2 = _symmetry_data(L2)
+    f1, twins1, inv1 = _symmetry_data(L1)
+    f2, twins2, inv2 = _symmetry_data(L2)
     if sorted(inv1) != sorted(inv2):
         return False
-    maps = _support_maps(f1, f2, [c[0] for c in c1], [c[0] for c in c2], inv1, inv2, True)
-    twins1, twins2 = {c[0]: c for c in c1}, {c[0]: c for c in c2}
+    maps = _support_maps(f1, f2, list(twins1), list(twins2), inv1, inv2, True)
     if maps and not _maps_flats(_full_map(maps[0], twins1, twins2, L1.nlines), f1, f2):
         raise RuntimeError("internal check failed: the line bijection does not map the flats")
     return bool(maps)
