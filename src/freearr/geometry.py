@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .scalar import FieldCtx, FieldMismatchError, Scalar
+from .scalar import FieldCtx, FieldMismatchError, Poly, QuadElem, RatFn, Scalar
 
 __all__ = [
     "GeometryError",
@@ -33,7 +33,10 @@ class GeometryError(ValueError):
 def _normalize_triple(ctx: FieldCtx, raw: Sequence[object]) -> tuple[Scalar, ...]:
     if len(raw) != 3:
         raise GeometryError("expected a coefficient triple")
-    vals = [v if hasattr(v, "is_zero") and getattr(v, "ctx", None) == ctx else ctx.scalar(v) for v in raw]
+    vals = [
+        v if isinstance(v, (QuadElem, RatFn)) and v.ctx == ctx else ctx.scalar(v)
+        for v in raw
+    ]
     pivot = None
     for v in vals:
         if not v.is_zero():
@@ -42,17 +45,22 @@ def _normalize_triple(ctx: FieldCtx, raw: Sequence[object]) -> tuple[Scalar, ...
     if pivot is None:
         raise GeometryError("zero triple is not projective")
     inv = pivot.inverse()
-    return tuple(v * inv for v in vals)
+    return tuple(ctx.one() if v is pivot else v * inv for v in vals)
 
 
 class _ProjTriple:
-    """Shared implementation of normalized homogeneous triples."""
+    """Shared implementation of normalized homogeneous triples.
 
-    __slots__ = ("ctx", "coeffs")
+    The hash and the sort key are computed on first use and kept.
+    """
+
+    __slots__ = ("ctx", "coeffs", "_hash", "_key")
 
     def __init__(self, ctx: FieldCtx, coeffs: Sequence[object]) -> None:
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "coeffs", _normalize_triple(ctx, coeffs))
+        object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_key", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -63,10 +71,18 @@ class _ProjTriple:
         return self.ctx == other.ctx and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        return hash((type(self).__name__, self.ctx, self.coeffs))
+        h = self._hash
+        if h is None:
+            h = hash((type(self).__name__, self.ctx, self.coeffs))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def sort_key(self) -> tuple:
-        return tuple(c.sort_key() for c in self.coeffs)
+        k = self._key
+        if k is None:
+            k = tuple(c.sort_key() for c in self.coeffs)
+            object.__setattr__(self, "_key", k)
+        return k
 
     def __repr__(self) -> str:
         inner = ", ".join(str(c) for c in self.coeffs)
@@ -76,6 +92,27 @@ class _ProjTriple:
 class Line(_ProjTriple):
     """Projective line c0*x + c1*y + c2*z = 0, first nonzero coefficient = 1."""
 
+    __slots__ = ("_polys",)
+
+    def polys(self) -> tuple[Poly, ...]:
+        """Over Q(sqrt(d))(t), the coefficients times the lcm of their denominators.
+
+        The three polynomials have no common factor (each coefficient is a
+        reduced fraction), so they are the line's denominator-free triple.
+        Computed on first use and kept.
+        """
+        try:
+            return self._polys
+        except AttributeError:
+            pass
+        lcm = self.coeffs[0].den
+        for c in self.coeffs[1:]:
+            if c.den.degree > 0:
+                lcm = c.den if lcm.degree <= 0 else lcm * (c.den // lcm.gcd(c.den))
+        polys = tuple(c.num if c.den == lcm else c.num * (lcm // c.den) for c in self.coeffs)
+        object.__setattr__(self, "_polys", polys)
+        return polys
+
     def eval_at(self, p: "Point") -> Scalar:
         c = self.coeffs
         q = p.coords
@@ -84,6 +121,8 @@ class Line(_ProjTriple):
 
 class Point(_ProjTriple):
     """Projective point (x : y : z), first nonzero coordinate = 1."""
+
+    __slots__ = ()
 
     @property
     def coords(self) -> tuple[Scalar, ...]:
@@ -118,11 +157,17 @@ def orthogonal_pair(t: _ProjTriple) -> tuple[tuple[Scalar, ...], tuple[Scalar, .
 
 
 def meet(l1: Line, l2: Line) -> Point:
-    """The unique projective point on both lines."""
+    """The unique projective point on both lines.
+
+    Over Q(sqrt(d))(t) the cross product is taken of the lines' polynomial
+    triples, so the only gcds are those of normalising the result.
+    """
     if l1.ctx != l2.ctx:
         raise FieldMismatchError("lines live in different fields")
     if l1 == l2:
         raise GeometryError("equal lines have no unique meet")
+    if l1.ctx.parametric:
+        return Point(l1.ctx, _cross(l1.polys(), l2.polys()))
     return Point(l1.ctx, _cross(l1.coeffs, l2.coeffs))
 
 

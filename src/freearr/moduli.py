@@ -178,6 +178,8 @@ def generic_lattice(fam: Family) -> GenericLattice:
             )
     A = fam.arrangement()
     lat = compute_lattice(A)
+    # a determinant met before gives the same squarefree part, already seen
+    dets: set = set()
     for fp in lat.points:
         inc = set(fp.incident)
         i, j = fp.incident[0], fp.incident[1]
@@ -189,6 +191,9 @@ def generic_lattice(fam: Family) -> GenericLattice:
                 continue
             c = trips[k]
             det = c[0] * pt[0] + c[1] * pt[1] + c[2] * pt[2]
+            if det.coeffs in dets:
+                continue
+            dets.add(det.coeffs)
             _add_condition(
                 conditions,
                 seen,

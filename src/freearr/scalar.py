@@ -500,7 +500,17 @@ class Poly:
 
 
 class RatFn:
-    """Rational function num/den over Q(sqrt(d)), gcd-reduced, monic denominator."""
+    """Rational function num/den over Q(sqrt(d)), gcd-reduced, monic denominator.
+
+    Every instance keeps three invariants: gcd(num, den) = 1, ``den`` is
+    monic, and zero is 0/1.  A reduced fraction with a monic denominator is
+    unique, so these make structural equality mathematical equality.  The
+    arithmetic relies on its operands satisfying them and skips every gcd
+    that they settle (Henrici's reduced-fraction arithmetic; Knuth, TAOCP
+    vol. 2, 4.5.1): ``*`` cancels only gcd(a, d) and gcd(c, b) crosswise,
+    ``+`` and ``-`` reduce only by the common factor of the denominators, and
+    ``neg``, ``inverse`` and ``conjugate`` need no gcd at all.
+    """
 
     __slots__ = ("ctx", "num", "den")
 
@@ -509,10 +519,11 @@ class RatFn:
             raise FieldMismatchError("RatFn requires a parametric context")
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        g = num.gcd(den)
-        if g.degree > 0:
-            num = num // g
-            den = den // g
+        if den.degree > 0:
+            g = num.gcd(den)
+            if g.degree > 0:
+                num = num // g
+                den = den // g
         lead = den.leading()
         if lead != 1:
             inv = lead.inverse()
@@ -521,6 +532,17 @@ class RatFn:
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
+
+    @classmethod
+    def _reduced(cls, ctx: FieldCtx, num: Poly, den: Poly) -> "RatFn":
+        """Wrap a pair already known to be coprime with ``den`` monic; 0 becomes 0/1."""
+        r = object.__new__(cls)
+        object.__setattr__(r, "ctx", ctx)
+        if num.is_zero():
+            den = Poly.one(ctx)
+        object.__setattr__(r, "num", num)
+        object.__setattr__(r, "den", den)
+        return r
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("RatFn is immutable")
@@ -547,11 +569,34 @@ class RatFn:
             return self.ctx.scalar(other)  # type: ignore[return-value]
         return None
 
+    def _sum(self, c: Poly, d: Poly) -> "RatFn":
+        """self + c/d for a reduced c/d with monic d."""
+        a, b = self.num, self.den
+        if b.degree == 0:
+            if d.degree == 0:
+                return RatFn._reduced(self.ctx, a + c, b)
+            # b = 1: gcd(a*d + c, d) = gcd(c, d) = 1
+            return RatFn._reduced(self.ctx, a * d + c, d)
+        if d.degree == 0:
+            return RatFn._reduced(self.ctx, a + c * b, b)
+        g = b.gcd(d)
+        if g.degree == 0:
+            return RatFn._reduced(self.ctx, a * d + c * b, b * d)
+        # b = g*b1, d = g*d1: a/b + c/d = (a*d1 + c*b1)/(g*b1*d1), and the
+        # numerator is prime to b1*d1, so only its gcd with g can cancel
+        b1 = b // g
+        s = a * (d // g) + c * b1
+        g2 = s.gcd(g)
+        if g2.degree > 0:
+            s = s // g2
+            d = d // g2
+        return RatFn._reduced(self.ctx, s, b1 * d)
+
     def __add__(self, other: object) -> "RatFn":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RatFn(self.ctx, self.num * o.den + o.num * self.den, self.den * o.den)
+        return self._sum(o.num, o.den)
 
     __radd__ = __add__
 
@@ -559,7 +604,7 @@ class RatFn:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RatFn(self.ctx, self.num * o.den - o.num * self.den, self.den * o.den)
+        return self._sum(-o.num, o.den)
 
     def __rsub__(self, other: object) -> "RatFn":
         o = self._coerce(other)
@@ -568,20 +613,39 @@ class RatFn:
         return o - self
 
     def __neg__(self) -> "RatFn":
-        return RatFn(self.ctx, -self.num, self.den)
+        return RatFn._reduced(self.ctx, -self.num, self.den)
 
     def __mul__(self, other: object) -> "RatFn":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RatFn(self.ctx, self.num * o.num, self.den * o.den)
+        a, b, c, d = self.num, self.den, o.num, o.den
+        if a.is_zero():
+            return self
+        if c.is_zero():
+            return o
+        # gcd(a, b) = gcd(c, d) = 1, so only a with d and c with b can cancel
+        if a.degree > 0 and d.degree > 0:
+            g = a.gcd(d)
+            if g.degree > 0:
+                a, d = a // g, d // g
+        if c.degree > 0 and b.degree > 0:
+            g = c.gcd(b)
+            if g.degree > 0:
+                c, b = c // g, b // g
+        return RatFn._reduced(self.ctx, a * c, b * d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "RatFn":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        return RatFn(self.ctx, self.den, self.num)
+        num, den = self.den, self.num
+        lead = den.leading()
+        if lead != 1:
+            inv = lead.inverse()
+            num, den = num.scale(inv), den.scale(inv)
+        return RatFn._reduced(self.ctx, num, den)
 
     def __truediv__(self, other: object) -> "RatFn":
         o = self._coerce(other)
@@ -596,7 +660,8 @@ class RatFn:
         return o * self.inverse()
 
     def conjugate(self) -> "RatFn":
-        return RatFn(self.ctx, self.num.conjugate(), self.den.conjugate())
+        # a field automorphism keeps num and den coprime and den monic
+        return RatFn._reduced(self.ctx, self.num.conjugate(), self.den.conjugate())
 
     def eval(self, x: QuadElem) -> QuadElem:
         """Specialize t = x; raises ZeroDivisionError at a pole."""

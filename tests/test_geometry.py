@@ -17,7 +17,7 @@ from freearr.geometry import (
     meet,
     orthogonal_pair,
 )
-from freearr.scalar import RATIONAL, FieldCtx, QuadElem
+from freearr.scalar import RATIONAL, FieldCtx, Poly, QuadElem
 
 
 class TestNormalization:
@@ -37,6 +37,34 @@ class TestNormalization:
     def test_normalization_idempotent(self):
         l = Line(RATIONAL, (5, 1, 7))
         assert Line(RATIONAL, l.coeffs) == l
+
+    def test_polynomial_entries(self):
+        # a Poly carries the parametric ctx and used to slip past the lift
+        ctx = FieldCtx(None, True)
+        t = Poly.from_rationals(ctx, [0, 1])
+        l = Line(ctx, (t, 1, t))
+        assert l == Line(ctx, (ctx.t(), 1, ctx.t()))
+        assert l.coeffs == (ctx.one(), 1 / ctx.t(), ctx.one())
+        assert Point(ctx, (0, t, 2)) == Point(ctx, (0, 1, 2 / ctx.t()))
+
+    def test_hash_and_sort_key_are_kept(self):
+        for ctx, raw in ((RATIONAL, (2, 4, -6)), (FieldCtx(None, True), (3, 0, 1))):
+            for cls in (Line, Point):
+                x = cls(ctx, raw)
+                assert hash(x) == hash((cls.__name__, ctx, x.coeffs))
+                assert x.sort_key() == tuple(c.sort_key() for c in x.coeffs)
+                assert hash(x) == hash(x) and x.sort_key() is x.sort_key()
+
+    def test_polys_are_denominator_free_and_coprime(self):
+        ctx = FieldCtx(5, True)
+        t = ctx.t()
+        l = Line(ctx, (t - 1, 1 / (t * t + 1), (t + 2) / (t - 1)))
+        p = l.polys()
+        assert l.polys() is p
+        # the triple is proportional to the coefficients
+        ratio = l.coeffs[0] / ctx.scalar(p[0])
+        assert all(c == ratio * ctx.scalar(q) for c, q in zip(l.coeffs, p))
+        assert p[0].gcd(p[1]).gcd(p[2]).degree == 0
 
 
 class TestMeetJoin:

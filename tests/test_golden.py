@@ -34,6 +34,7 @@ CASES = {
     "render_family13_2_3": ["render", "catalog:family13?lambda=2/3"],
     "catalog_get_pentagonal_svg": ["catalog", "get", "pentagonal", "--svg"],
     "scan_family13": ["scan-family", "family13", "--samples", "2,5"],
+    "scan_family15": ["scan-family", "family15", "--samples", "2", "--symbolic"],
 }
 
 

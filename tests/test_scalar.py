@@ -166,6 +166,186 @@ class TestPolyRatFn:
         assert ((t + i) * (t - i)) == t * t + 1
 
 
+# ---------------------------------------------------------------------------
+# RatFn arithmetic against the full reduce-then-monic construction
+
+
+def _reduce(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """num/den reduced by the full gcd, then scaled to a monic denominator."""
+    g = num.gcd(den)
+    if g.degree > 0:
+        num, den = num // g, den // g
+    lead = den.leading()
+    if lead != 1:
+        inv = lead.inverse()
+        num, den = num.scale(inv), den.scale(inv)
+    return num, den
+
+
+def _oracle(num: Poly, den: Poly) -> tuple[tuple, tuple]:
+    num, den = _reduce(num, den)
+    return num.coeffs, den.coeffs
+
+
+def _parts(r: RatFn) -> tuple[tuple, tuple]:
+    return r.num.coeffs, r.den.coeffs
+
+
+def _oracle_ops(x: RatFn, y: RatFn) -> dict:
+    a, b, c, d = x.num, x.den, y.num, y.den
+    ops = {
+        "add": _oracle(a * d + c * b, b * d),
+        "sub": _oracle(a * d - c * b, b * d),
+        "mul": _oracle(a * c, b * d),
+    }
+    if not y.is_zero():
+        ops["div"] = _oracle(a * d, b * c)
+    return ops
+
+
+class TestRatFnDifferential:
+    """Every RatFn operation gives the coefficient tuples of the oracle."""
+
+    CTXS = (FieldCtx(None, True), FieldCtx(5, True))
+    DEN_KINDS = ("equal", "constant", "coprime", "shared")
+
+    @staticmethod
+    def _factors(ctx: FieldCtx) -> list[Poly]:
+        base = ctx.base()
+
+        def p(*cs):
+            return Poly(ctx, [c if isinstance(c, QuadElem) else QuadElem.of(base, c) for c in cs])
+
+        out = [p(0, 1), p(-1, 1), p(2, 1), p(1, 0, 1), p(1, -1, 1), p(Fraction(1, 3), 2)]
+        if ctx.disc is not None:
+            out.append(p(QuadElem(base, Fraction(0), Fraction(-1)), 1))  # t - sqrt(5)
+            out.append(p(QuadElem(base, Fraction(1), Fraction(1, 2)), 0, 1))
+        return out
+
+    def _poly(self, rng, ctx, pool) -> Poly:
+        base = ctx.base()
+        b = Fraction(rng.randint(-2, 2), 3) if ctx.disc is not None else Fraction(0)
+        lead = QuadElem(base, Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4)), b)
+        if lead.is_zero():
+            lead = QuadElem.of(base, 1)
+        out = Poly(ctx, (lead,))
+        for f in rng.sample(pool, rng.randint(0, 3)):
+            out = out * f
+        return out
+
+    def _pair(self, rng, ctx, kind):
+        pool = self._factors(ctx)
+        x = RatFn(ctx, self._poly(rng, ctx, pool), self._poly(rng, ctx, pool))
+        if kind == "equal":
+            prime = [f for f in pool if x.den.gcd(f).degree <= 0]
+            y = RatFn(ctx, self._poly(rng, ctx, prime), x.den)
+        elif kind == "constant":
+            y = RatFn(ctx, self._poly(rng, ctx, pool), Poly.one(ctx))
+        elif kind == "coprime":
+            prime = [f for f in pool if x.den.gcd(f).degree <= 0]
+            den = Poly.one(ctx)
+            for f in rng.sample(prime, min(len(prime), rng.randint(1, 2))):
+                den = den * f
+            y = RatFn(ctx, self._poly(rng, ctx, pool), den)
+        else:
+            shared = x.den if x.den.degree > 0 else pool[0]
+            y = RatFn(ctx, self._poly(rng, ctx, pool), shared * self._poly(rng, ctx, pool))
+        return x, y
+
+    @pytest.mark.parametrize("disc", [None, 5])
+    @pytest.mark.parametrize("kind", DEN_KINDS)
+    def test_binary_ops_match_oracle(self, disc, kind):
+        ctx = FieldCtx(disc, True)
+        rng = random.Random(f"{disc}-{kind}")
+        for _ in range(40):
+            x, y = self._pair(rng, ctx, kind)
+            if kind == "equal":
+                assert x.den == y.den
+            want = _oracle_ops(x, y)
+            assert _parts(x + y) == want["add"]
+            assert _parts(x - y) == want["sub"]
+            assert _parts(x * y) == want["mul"]
+            assert _parts(y + x) == want["add"]
+            assert _parts(y * x) == want["mul"]
+            if "div" in want:
+                assert _parts(x / y) == want["div"]
+
+    @pytest.mark.parametrize("disc", [None, 5])
+    def test_results_that_cancel_to_zero(self, disc):
+        ctx = FieldCtx(disc, True)
+        rng = random.Random(f"zero-{disc}")
+        zero = _oracle(Poly.zero(ctx), Poly.one(ctx))
+        assert zero == ((), Poly.one(ctx).coeffs)
+        for kind in self.DEN_KINDS:
+            for _ in range(10):
+                x, y = self._pair(rng, ctx, kind)
+                assert _parts(x - x) == zero
+                assert _parts(x + (-x)) == zero
+                assert _parts(x * (y - y)) == zero
+                assert _parts((y - y) * x) == zero
+                assert _parts(x * y - y * x) == zero
+                # (x + y) - y cancels back to x through a shared denominator
+                assert _parts((x + y) - y) == _parts(x)
+
+    @pytest.mark.parametrize("disc", [None, 5])
+    def test_unary_ops_and_constructor_match_oracle(self, disc):
+        ctx = FieldCtx(disc, True)
+        rng = random.Random(f"unary-{disc}")
+        pool = self._factors(ctx)
+        for _ in range(60):
+            num, den = self._poly(rng, ctx, pool), self._poly(rng, ctx, pool)
+            if rng.random() < 0.2:
+                num = Poly.zero(ctx)
+            x = RatFn(ctx, num, den)
+            assert _parts(x) == _oracle(num, den)
+            assert _parts(-x) == _oracle(-num, den)
+            assert _parts(x.conjugate()) == _oracle(num.conjugate(), den.conjugate())
+            if not x.is_zero():
+                assert _parts(x.inverse()) == _oracle(den, num)
+                assert _parts(1 / x) == _oracle(den, num)
+            c = QuadElem.of(ctx.base(), Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+            assert _parts(RatFn(ctx, num, Poly(ctx, (c,)))) == _oracle(num, Poly(ctx, (c,)))
+            assert _parts(x * c) == _oracle(x.num.scale(c), x.den)
+            assert _parts(x + 1) == _oracle(x.num + x.den, x.den)
+
+
+def _oracle_point(l1, l2) -> tuple:
+    """Cross product of the RatFn coefficients, then divide by the pivot, in oracle arithmetic."""
+
+    def mul(x, y):
+        return _reduce(x[0] * y[0], x[1] * y[1])
+
+    def sub(x, y):
+        return _reduce(x[0] * y[1] - y[0] * x[1], x[1] * y[1])
+
+    a = [(c.num, c.den) for c in l1.coeffs]
+    b = [(c.num, c.den) for c in l2.coeffs]
+    cross = [
+        sub(mul(a[1], b[2]), mul(a[2], b[1])),
+        sub(mul(a[2], b[0]), mul(a[0], b[2])),
+        sub(mul(a[0], b[1]), mul(a[1], b[0])),
+    ]
+    pn, pd = next(x for x in cross if not x[0].is_zero())
+    return tuple(_oracle(n * pd, d * pn) for n, d in cross)
+
+
+@pytest.mark.parametrize("name", ["family13", "family13_sqrt3", "family15"])
+def test_meet_matches_ratfn_cross_product(name):
+    from freearr import catalog
+    from freearr.geometry import meet
+
+    fam = {
+        "family13": catalog.family13_family,
+        "family13_sqrt3": lambda: catalog.family13_family(sqrt3=True),
+        "family15": catalog.family15_family,
+    }[name]()
+    A = fam.arrangement()
+    for i in range(len(A)):
+        for j in range(i + 1, len(A)):
+            got = tuple(_parts(c) for c in meet(A[i], A[j]).coords)
+            assert got == _oracle_point(A[i], A[j]), (i, j)
+
+
 class TestSquarefreeDecompose:
     def test_basic(self):
         assert squarefree_decompose(12) == (2, 3)
