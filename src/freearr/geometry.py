@@ -34,7 +34,7 @@ def _normalize_triple(ctx: FieldCtx, raw: Sequence[object]) -> tuple[Scalar, ...
     if len(raw) != 3:
         raise GeometryError("expected a coefficient triple")
     vals = [
-        v if isinstance(v, (QuadElem, RatFn)) and v.ctx == ctx else ctx.scalar(v)
+        v if isinstance(v, (QuadElem, RatFn)) and (v.ctx is ctx or v.ctx == ctx) else ctx.scalar(v)
         for v in raw
     ]
     pivot = None
@@ -66,9 +66,11 @@ class _ProjTriple:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, type(self)):
             return NotImplemented
-        return self.ctx == other.ctx and self.coeffs == other.coeffs
+        return (self.ctx is other.ctx or self.ctx == other.ctx) and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
         h = self._hash
@@ -185,6 +187,13 @@ def incident(p: Point, l: Line) -> bool:
     return l.eval_at(p).is_zero()
 
 
+def _as_line(ctx: FieldCtx, l: object) -> Line:
+    """``l`` as a Line over ``ctx``: a raw triple, or a Line from any context."""
+    if isinstance(l, Line):
+        return l if l.ctx is ctx or l.ctx == ctx else Line(ctx, l.coeffs)
+    return Line(ctx, l)
+
+
 class Arrangement:
     """Ordered, duplicate-free set of projective lines over one field context."""
 
@@ -194,13 +203,21 @@ class Arrangement:
         built: list[Line] = []
         seen: set[Line] = set()
         for l in lines:
-            line = l if isinstance(l, Line) and l.ctx == ctx else Line(ctx, l.coeffs if isinstance(l, Line) else l)
+            line = _as_line(ctx, l)
             if line in seen:
                 raise GeometryError(f"duplicate line {line!r}")
             seen.add(line)
             built.append(line)
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "lines", tuple(built))
+
+    @classmethod
+    def _of(cls, ctx: FieldCtx, lines: tuple[Line, ...]) -> "Arrangement":
+        """Wrap lines already known to be distinct Lines over ``ctx``."""
+        A = object.__new__(cls)
+        object.__setattr__(A, "ctx", ctx)
+        object.__setattr__(A, "lines", lines)
+        return A
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Arrangement is immutable")
@@ -227,15 +244,23 @@ class Arrangement:
 
     def add(self, line: Line) -> "Arrangement":
         """New arrangement with ``line`` appended."""
-        return Arrangement(self.ctx, self.lines + (line,))
+        line = _as_line(self.ctx, line)
+        if line in self.lines:
+            raise GeometryError(f"duplicate line {line!r}")
+        return Arrangement._of(self.ctx, self.lines + (line,))
 
     def delete(self, index: int) -> "Arrangement":
         """New arrangement with the line at ``index`` removed."""
-        return Arrangement(self.ctx, self.lines[:index] + self.lines[index + 1 :])
+        return Arrangement._of(self.ctx, self.lines[:index] + self.lines[index + 1 :])
 
     def canonical_key(self) -> tuple:
-        """Order-independent identity, used as memoization key."""
-        return (self.ctx, tuple(sorted(l.sort_key() for l in self.lines)))
+        """Order-independent identity, used as memoization key.
+
+        Lines are normalised, so equal line sets are equal arrangements up
+        to order; the frozenset keeps its hash, built from the Lines' kept
+        hashes.
+        """
+        return (self.ctx, frozenset(self.lines))
 
     def __repr__(self) -> str:
         return f"Arrangement({len(self.lines)} lines over {self.ctx})"

@@ -118,12 +118,12 @@ class FieldCtx:
                 raise FieldMismatchError("polynomial does not fit this context")
             return RatFn(self, Poly(self, x.coeffs), Poly.one(self))
         if isinstance(x, QuadElem):
-            if x.ctx != base:
+            if x.ctx is not base and x.ctx != base:
                 if x.b != 0 or (x.ctx.disc is not None and base.disc is not None):
                     raise FieldMismatchError(
                         f"cannot coerce element of {x.ctx} into {self}"
                     )
-                x = QuadElem(base, x.a, Fraction(0))
+                x = QuadElem(base, x.a)
             q = x
         elif isinstance(x, (int, Fraction)):
             q = QuadElem.of(base, x)
@@ -138,139 +138,198 @@ RATIONAL = FieldCtx()
 
 
 class QuadElem:
-    """Element a + b*sqrt(d) of Q(sqrt(d)) (b = 0 when the context is plain Q)."""
+    """Element (p + q*sqrt(d))/n of Q(sqrt(d)), held as three integers.
 
-    __slots__ = ("ctx", "a", "b")
+    The form is canonical: n > 0, gcd(p, q, n) = 1, and q = 0 when the
+    context is plain Q.  So structural equality is equality of values, and
+    the arithmetic needs only integer operations and ``math.gcd``: a result
+    that may need reducing goes through the one reducing constructor
+    ``_quad``.  ``a`` and ``b`` give the parts p/n and q/n as Fractions.
+    """
 
-    def __init__(self, ctx: FieldCtx, a: Fraction, b: Fraction = Fraction(0)) -> None:
+    __slots__ = ("ctx", "_p", "_q", "_n")
+
+    def __init__(
+        self, ctx: FieldCtx, a: Union[int, Fraction], b: Union[int, Fraction] = 0
+    ) -> None:
         if ctx.parametric:
             raise FieldMismatchError("QuadElem requires a non-parametric context")
         if ctx.disc is None and b != 0:
             raise FieldMismatchError("nonzero sqrt part in a rational context")
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "a", a if isinstance(a, Fraction) else Fraction(a))
-        object.__setattr__(self, "b", b if isinstance(b, Fraction) else Fraction(b))
+        an, ad = _ratio(a)
+        bn, bd = _ratio(b)
+        # a = an/ad and b = bn/bd are reduced, so over n = lcm(ad, bd) the
+        # numerators an*(n/ad) and bn*(n/bd) have no common factor with n
+        n = ad if ad == bd else ad // math.gcd(ad, bd) * bd
+        _set_ctx(self, ctx)
+        _set_p(self, an * (n // ad))
+        _set_q(self, bn * (n // bd))
+        _set_n(self, n)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("QuadElem is immutable")
 
     @staticmethod
     def of(ctx: FieldCtx, x: Union[int, Fraction]) -> "QuadElem":
-        return QuadElem(ctx, Fraction(x))
+        if ctx.parametric:
+            raise FieldMismatchError("QuadElem requires a non-parametric context")
+        p, n = _ratio(x)
+        return _wrap(ctx, p, 0, n)
+
+    @property
+    def a(self) -> Fraction:
+        """Rational part p/n."""
+        return Fraction(self._p, self._n)
+
+    @property
+    def b(self) -> Fraction:
+        """Coefficient q/n of sqrt(d)."""
+        return Fraction(self._q, self._n)
 
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return not self._p and not self._q
 
     def is_rational(self) -> bool:
-        return self.b == 0
+        return not self._q
 
     def __bool__(self) -> bool:
         return not self.is_zero()
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _coerce(self, other: object) -> Optional["QuadElem"]:
+    def _parts(self, other: object) -> Optional[tuple[int, int, int]]:
+        """(p, q, n) of ``other`` in this context; None for a foreign type."""
         if isinstance(other, QuadElem):
-            if other.ctx != self.ctx:
+            if other.ctx is not self.ctx and other.ctx != self.ctx:
                 raise FieldMismatchError(
                     f"context mismatch: {self.ctx} vs {other.ctx}"
                 )
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QuadElem.of(self.ctx, other)
+            return other._p, other._q, other._n
+        if isinstance(other, int):
+            return int(other), 0, 1
+        if isinstance(other, Fraction):
+            return other.numerator, 0, other.denominator
         return None
 
+    def _sum(self, p: int, q: int, n: int) -> "QuadElem":
+        """self + (p + q*sqrt(d))/n."""
+        if n == self._n:
+            return _quad(self.ctx, self._p + p, self._q + q, n)
+        return _quad(
+            self.ctx, self._p * n + p * self._n, self._q * n + q * self._n, self._n * n
+        )
+
     def __add__(self, other: object) -> "QuadElem":
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        return QuadElem(self.ctx, self.a + o.a, self.b + o.b)
+        return self._sum(*o)
 
     __radd__ = __add__
 
     def __sub__(self, other: object) -> "QuadElem":
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        return QuadElem(self.ctx, self.a - o.a, self.b - o.b)
+        p, q, n = o
+        return self._sum(-p, -q, n)
 
     def __rsub__(self, other: object) -> "QuadElem":
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        return QuadElem(self.ctx, o.a - self.a, o.b - self.b)
+        return (-self)._sum(*o)
 
     def __neg__(self) -> "QuadElem":
-        return QuadElem(self.ctx, -self.a, -self.b)
+        return _wrap(self.ctx, -self._p, -self._q, self._n)
 
     def __mul__(self, other: object) -> "QuadElem":
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        if self.b == 0:
-            if o.b == 0:
-                return QuadElem(self.ctx, self.a * o.a)
-            return QuadElem(self.ctx, self.a * o.a, self.a * o.b)
-        if o.b == 0:
-            return QuadElem(self.ctx, self.a * o.a, self.b * o.a)
-        d = self.ctx.disc
-        return QuadElem(
+        p2, q2, n2 = o
+        p1, q1 = self._p, self._q
+        if not q2:
+            if not q1:
+                return _quad(self.ctx, p1 * p2, 0, self._n * n2)
+            return _quad(self.ctx, p1 * p2, q1 * p2, self._n * n2)
+        if not q1:
+            return _quad(self.ctx, p1 * p2, p1 * q2, self._n * n2)
+        return _quad(
             self.ctx,
-            self.a * o.a + self.b * o.b * d,
-            self.a * o.b + self.b * o.a,
+            p1 * p2 + q1 * q2 * self.ctx.disc,
+            p1 * q2 + q1 * p2,
+            self._n * n2,
         )
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QuadElem":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        if self.b == 0:
-            return QuadElem(self.ctx, 1 / self.a)
-        d = self.ctx.disc
-        norm = self.a * self.a - self.b * self.b * d
-        return QuadElem(self.ctx, self.a / norm, -self.b / norm)
+        p, q, n = self._p, self._q, self._n
+        if not q:
+            if not p:
+                raise ZeroDivisionError("inverse of zero")
+            # gcd(p, n) = 1 already
+            return _wrap(self.ctx, -n, 0, -p) if p < 0 else _wrap(self.ctx, n, 0, p)
+        # n/(p + q sqrt d) = n(p - q sqrt d)/(p^2 - q^2 d); the norm is nonzero
+        # because d is not a square
+        norm = p * p - q * q * self.ctx.disc
+        if norm < 0:
+            return _quad(self.ctx, -n * p, n * q, -norm)
+        return _quad(self.ctx, n * p, -n * q, norm)
 
     def __truediv__(self, other: object) -> "QuadElem":
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        return self * o.inverse()
+        return self * _wrap(self.ctx, *o).inverse()
 
     def __rtruediv__(self, other: object) -> "QuadElem":
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        return o * self.inverse()
+        return _wrap(self.ctx, *o) * self.inverse()
 
     def conjugate(self) -> "QuadElem":
-        return QuadElem(self.ctx, self.a, -self.b)
+        return _wrap(self.ctx, self._p, -self._q, self._n)
 
     # -- structure ----------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
-        if not isinstance(other, QuadElem):
-            return NotImplemented
-        return self.ctx == other.ctx and self.a == other.a and self.b == other.b
+        if isinstance(other, QuadElem):
+            return (
+                self._p == other._p
+                and self._q == other._q
+                and self._n == other._n
+                and (self.ctx is other.ctx or self.ctx == other.ctx)
+            )
+        if isinstance(other, int):
+            return not self._q and self._n == 1 and self._p == other
+        if isinstance(other, Fraction):
+            return not self._q and self._p == other.numerator and self._n == other.denominator
+        return NotImplemented
 
     def __hash__(self) -> int:
+        # equal to hash((ctx, a, b)) with a, b Fractions, which hash as ints when n = 1
+        if self._n == 1:
+            return hash((self.ctx, self._p, self._q))
         return hash((self.ctx, self.a, self.b))
 
     def sort_key(self) -> tuple:
+        if self._n == 1:
+            return (0, self._p, self._q)
         return (0, self.a, self.b)
 
     def as_fraction(self) -> Fraction:
-        if self.b != 0:
+        if self._q:
             raise ValueError("not a rational value")
         return self.a
 
     def real_value(self) -> float:
         """Embed into R using the positive square root (requires disc > 0)."""
-        if self.b == 0:
+        if not self._q:
             return float(self.a)
         d = self.ctx.disc
         if d is None or d < 0:
@@ -279,33 +338,71 @@ class QuadElem:
 
     def real_sign(self) -> int:
         """Exact sign under the positive-root real embedding."""
-        if self.b == 0:
-            return (self.a > 0) - (self.a < 0)
+        p, q = self._p, self._q
+        if not q:
+            return (p > 0) - (p < 0)
         d = self.ctx.disc
         if d is None or d < 0:
             raise ValueError("no real embedding for this context")
-        if self.a == 0:
-            return 1 if self.b > 0 else -1
-        # sign(a + b*sqrt(d)): compare a^2 and b^2 d with the signs of a, b.
-        if self.a > 0 and self.b > 0:
+        if p == 0:
+            return 1 if q > 0 else -1
+        # sign(p + q*sqrt(d)) for n > 0: compare p^2 and q^2 d with the signs of p, q.
+        if p > 0 and q > 0:
             return 1
-        if self.a < 0 and self.b < 0:
+        if p < 0 and q < 0:
             return -1
-        lhs = self.a * self.a
-        rhs = self.b * self.b * d
+        lhs = p * p
+        rhs = q * q * d
         if lhs == rhs:
             return 0
-        if self.a > 0:
+        if p > 0:
             return 1 if lhs > rhs else -1
         return -1 if lhs > rhs else 1
 
     def __repr__(self) -> str:
-        if self.b == 0:
+        if not self._q:
             return str(self.a)
         d = self.ctx.disc
         return f"({self.a}+{self.b}*sqrt({d}))"
 
     __str__ = __repr__
+
+
+_set_ctx = QuadElem.ctx.__set__  # type: ignore[attr-defined]
+_set_p = QuadElem._p.__set__  # type: ignore[attr-defined]
+_set_q = QuadElem._q.__set__  # type: ignore[attr-defined]
+_set_n = QuadElem._n.__set__  # type: ignore[attr-defined]
+_new = object.__new__
+
+
+def _ratio(x: object) -> tuple[int, int]:
+    """Numerator and denominator of ``x`` read as a Fraction."""
+    if type(x) is int:
+        return x, 1
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator, x.denominator
+
+
+def _wrap(ctx: FieldCtx, p: int, q: int, n: int) -> QuadElem:
+    """The QuadElem (p + q*sqrt(d))/n for a triple already in canonical form."""
+    r = _new(QuadElem)
+    _set_ctx(r, ctx)
+    _set_p(r, p)
+    _set_q(r, q)
+    _set_n(r, n)
+    return r
+
+
+def _quad(ctx: FieldCtx, p: int, q: int, n: int) -> QuadElem:
+    """The QuadElem (p + q*sqrt(d))/n for n > 0, reduced by gcd(p, q, n)."""
+    if n != 1:
+        g = math.gcd(p, q, n)
+        if g != 1:
+            p //= g
+            q //= g
+            n //= g
+    return _wrap(ctx, p, q, n)
 
 
 class Poly:

@@ -139,25 +139,26 @@ def free_deletions(
 # Free additions via stratification
 
 
-def _pencil_representative(
-    A: Arrangement, lat: LatticeData, P: Point
-) -> Optional[Line]:
-    """A line through P, through no other flat point, and not in A."""
-    ctx = A.ctx
+def _pencil_representative(P: Point, taken: set[Line]) -> Line:
+    """The first line l1 + k*l2 (k = 0, 1, 2, ...) through P that is not in ``taken``.
+
+    With ``taken`` the lines of A and the joins of pairs of flat points, the
+    result is a line through P, through no other flat point, and not in A: a
+    line through P meets another flat point q exactly when it is the join of
+    P and q.  So no flat point is evaluated, and the k chosen is the one the
+    per-point incidence test would choose.
+    """
+    ctx = P.ctx
     l1, l2 = (Line(ctx, t) for t in orthogonal_pair(P))
-    others = [fp.point for fp in lat.points if fp.point != P]
     for k in itertools.count():
         kk = ctx.scalar(k)
         coeffs = tuple(a + kk * b for a, b in zip(l1.coeffs, l2.coeffs))
         if all(c.is_zero() for c in coeffs):
             continue
         cand = Line(ctx, coeffs)
-        if cand in A:
-            continue
-        if any(cand.eval_at(q).is_zero() for q in others):
-            continue
-        return cand
-    return None
+        if cand not in taken:
+            return cand
+    raise SearchError("unreachable")
 
 
 def _generic_representative(A: Arrangement, lat: LatticeData) -> Line:
@@ -187,10 +188,9 @@ def _addition_candidates(A: Arrangement, lat: LatticeData) -> dict[Line, set[int
     for line in A:
         candidates.pop(line, None)
     if not A.ctx.parametric:
+        taken = set(candidates).union(A.lines)
         for k, P in enumerate(pts):
-            rep = _pencil_representative(A, lat, P)
-            if rep is not None:
-                candidates.setdefault(rep, {k})
+            candidates.setdefault(_pencil_representative(P, taken), {k})
         if len(A) >= 1 and pts:
             candidates.setdefault(_generic_representative(A, lat), set())
     return candidates

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from freearr.geometry import (
     meet,
     orthogonal_pair,
 )
-from freearr.scalar import RATIONAL, FieldCtx, Poly, QuadElem
+from freearr.scalar import RATIONAL, FieldCtx, FieldMismatchError, Poly, QuadElem
 
 
 class TestNormalization:
@@ -148,6 +149,28 @@ class TestArrangement:
         assert len(b) == 3
         assert b.delete(2) == a
 
+    def test_add_coerces_and_rejects_duplicates(self):
+        ctx = FieldCtx(5)
+        a = Arrangement(ctx, [(1, 0, 0), (0, 1, 0)])
+        # a rational Line is coerced into the arrangement's field, as in __init__
+        b = a.add(Line(RATIONAL, (1, 1, 2)))
+        assert b.lines[-1] == Line(ctx, (1, 1, 2)) and b.lines[-1].ctx == ctx
+        assert b == Arrangement(ctx, [(1, 0, 0), (0, 1, 0), (1, 1, 2)])
+        with pytest.raises(GeometryError, match="duplicate line"):
+            a.add(Line(ctx, (2, 0, 0)))
+        with pytest.raises(GeometryError, match="duplicate line"):
+            a.add(Line(RATIONAL, (0, 3, 0)))
+        with pytest.raises(FieldMismatchError):
+            a.add(Line(FieldCtx(-3), (1, FieldCtx(-3).sqrt_gen(), 0)))
+
+    def test_delete_keeps_the_other_lines(self):
+        a = Arrangement(RATIONAL, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
+        for h in range(len(a)):
+            sub = a.delete(h)
+            assert sub.lines == a.lines[:h] + a.lines[h + 1 :]
+            assert sub == Arrangement(RATIONAL, [l.coeffs for l in sub.lines])
+            assert sub.ctx is a.ctx
+
 
 class TestCone:
     def test_two_affine_lines(self):
@@ -190,3 +213,41 @@ class TestOrthogonalPair:
                     assert sum((a * b for a, b in zip(w, t.coeffs)), ctx.zero()).is_zero()
                 # independent: their cross product is t up to scale
                 assert type(t)(ctx, meet(Line(ctx, u), Line(ctx, v)).coords) == t
+
+
+def _sorted_sort_key(A: Arrangement) -> tuple:
+    """The former canonical key: the sorted sort keys of the lines."""
+    return (A.ctx, tuple(sorted(l.sort_key() for l in A.lines)))
+
+
+def test_canonical_key_matches_sorted_sort_keys():
+    """Two frozenset keys are equal exactly when the sorted sort keys are."""
+    from freearr import catalog
+
+    rng = random.Random(20)
+    bases = [
+        catalog.dual_hesse(),
+        catalog.pentagonal(),
+        catalog.g443(),
+        catalog.eleven_if(),
+        catalog.family13(3),
+        catalog.family15(2),
+        catalog.family13(Fraction(1, 2), sqrt3=True),
+    ]
+    arrs = []
+    for A in bases:
+        for _ in range(20):
+            lines = list(A.lines)
+            rng.shuffle(lines)
+            B = Arrangement(A.ctx, lines)
+            arrs.append(B)
+            arrs.extend(B.delete(h) for h in range(len(B)))
+    by_new: dict = {}
+    by_old: dict = {}
+    for B in arrs:
+        by_new.setdefault(B.canonical_key(), set()).add(_sorted_sort_key(B))
+        by_old.setdefault(_sorted_sort_key(B), set()).add(B.canonical_key())
+    assert all(len(v) == 1 for v in by_new.values())
+    assert all(len(v) == 1 for v in by_old.values())
+    # each base, and each of its one-line deletions, is one class
+    assert len(by_new) == len(by_old) == sum(len(A) + 1 for A in bases)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from typing import Optional, Union
 
 import pytest
 
@@ -344,6 +345,334 @@ def test_meet_matches_ratfn_cross_product(name):
         for j in range(i + 1, len(A)):
             got = tuple(_parts(c) for c in meet(A[i], A[j]).coords)
             assert got == _oracle_point(A[i], A[j]), (i, j)
+
+
+
+# ---------------------------------------------------------------------------
+# QuadElem against the Fraction-pair representation it replaced
+
+
+class FractionQuad:
+    """The former QuadElem: a + b*sqrt(d) held as two Fractions, kept as the oracle."""
+
+    __slots__ = ("ctx", "a", "b")
+
+    def __init__(self, ctx: FieldCtx, a: Fraction, b: Fraction = Fraction(0)) -> None:
+        if ctx.parametric:
+            raise FieldMismatchError("QuadElem requires a non-parametric context")
+        if ctx.disc is None and b != 0:
+            raise FieldMismatchError("nonzero sqrt part in a rational context")
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "a", a if isinstance(a, Fraction) else Fraction(a))
+        object.__setattr__(self, "b", b if isinstance(b, Fraction) else Fraction(b))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("QuadElem is immutable")
+
+    @staticmethod
+    def of(ctx: FieldCtx, x: Union[int, Fraction]) -> "FractionQuad":
+        return FractionQuad(ctx, Fraction(x))
+
+    # -- predicates ---------------------------------------------------------
+
+    def is_zero(self) -> bool:
+        return self.a == 0 and self.b == 0
+
+    def is_rational(self) -> bool:
+        return self.b == 0
+
+    def __bool__(self) -> bool:
+        return not self.is_zero()
+
+    # -- arithmetic ---------------------------------------------------------
+
+    def _coerce(self, other: object) -> Optional["FractionQuad"]:
+        if isinstance(other, FractionQuad):
+            if other.ctx != self.ctx:
+                raise FieldMismatchError(
+                    f"context mismatch: {self.ctx} vs {other.ctx}"
+                )
+            return other
+        if isinstance(other, (int, Fraction)):
+            return FractionQuad.of(self.ctx, other)
+        return None
+
+    def __add__(self, other: object) -> "FractionQuad":
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return FractionQuad(self.ctx, self.a + o.a, self.b + o.b)
+
+    __radd__ = __add__
+
+    def __sub__(self, other: object) -> "FractionQuad":
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return FractionQuad(self.ctx, self.a - o.a, self.b - o.b)
+
+    def __rsub__(self, other: object) -> "FractionQuad":
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return FractionQuad(self.ctx, o.a - self.a, o.b - self.b)
+
+    def __neg__(self) -> "FractionQuad":
+        return FractionQuad(self.ctx, -self.a, -self.b)
+
+    def __mul__(self, other: object) -> "FractionQuad":
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        if self.b == 0:
+            if o.b == 0:
+                return FractionQuad(self.ctx, self.a * o.a)
+            return FractionQuad(self.ctx, self.a * o.a, self.a * o.b)
+        if o.b == 0:
+            return FractionQuad(self.ctx, self.a * o.a, self.b * o.a)
+        d = self.ctx.disc
+        return FractionQuad(
+            self.ctx,
+            self.a * o.a + self.b * o.b * d,
+            self.a * o.b + self.b * o.a,
+        )
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "FractionQuad":
+        if self.is_zero():
+            raise ZeroDivisionError("inverse of zero")
+        if self.b == 0:
+            return FractionQuad(self.ctx, 1 / self.a)
+        d = self.ctx.disc
+        norm = self.a * self.a - self.b * self.b * d
+        return FractionQuad(self.ctx, self.a / norm, -self.b / norm)
+
+    def __truediv__(self, other: object) -> "FractionQuad":
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self * o.inverse()
+
+    def __rtruediv__(self, other: object) -> "FractionQuad":
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o * self.inverse()
+
+    def conjugate(self) -> "FractionQuad":
+        return FractionQuad(self.ctx, self.a, -self.b)
+
+    # -- structure ----------------------------------------------------------
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (int, Fraction)):
+            return self.b == 0 and self.a == other
+        if not isinstance(other, FractionQuad):
+            return NotImplemented
+        return self.ctx == other.ctx and self.a == other.a and self.b == other.b
+
+    def __hash__(self) -> int:
+        return hash((self.ctx, self.a, self.b))
+
+    def sort_key(self) -> tuple:
+        return (0, self.a, self.b)
+
+    def as_fraction(self) -> Fraction:
+        if self.b != 0:
+            raise ValueError("not a rational value")
+        return self.a
+
+    def real_value(self) -> float:
+        """Embed into R using the positive square root (requires disc > 0)."""
+        if self.b == 0:
+            return float(self.a)
+        d = self.ctx.disc
+        if d is None or d < 0:
+            raise ValueError("no real embedding for this context")
+        return float(self.a) + float(self.b) * math.sqrt(d)
+
+    def real_sign(self) -> int:
+        """Exact sign under the positive-root real embedding."""
+        if self.b == 0:
+            return (self.a > 0) - (self.a < 0)
+        d = self.ctx.disc
+        if d is None or d < 0:
+            raise ValueError("no real embedding for this context")
+        if self.a == 0:
+            return 1 if self.b > 0 else -1
+        # sign(a + b*sqrt(d)): compare a^2 and b^2 d with the signs of a, b.
+        if self.a > 0 and self.b > 0:
+            return 1
+        if self.a < 0 and self.b < 0:
+            return -1
+        lhs = self.a * self.a
+        rhs = self.b * self.b * d
+        if lhs == rhs:
+            return 0
+        if self.a > 0:
+            return 1 if lhs > rhs else -1
+        return -1 if lhs > rhs else 1
+
+    def __repr__(self) -> str:
+        if self.b == 0:
+            return str(self.a)
+        d = self.ctx.disc
+        return f"({self.a}+{self.b}*sqrt({d}))"
+
+    __str__ = __repr__
+
+
+class TestQuadElemDifferential:
+    """Seeded random expressions: the integer QuadElem matches the Fraction pair."""
+
+    CTXS = (RATIONAL, FieldCtx(5), FieldCtx(-3), FieldCtx(-1))
+
+    @staticmethod
+    def _rational(rng) -> Fraction:
+        kind = rng.random()
+        if kind < 0.15:
+            return Fraction(0)
+        if kind < 0.3:
+            # large numerators and denominators
+            return Fraction(rng.randint(-(10**40), 10**40), rng.randint(1, 10**25))
+        if kind < 0.5:
+            return Fraction(rng.randint(-9, 9))
+        return Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+
+    def _value(self, rng, ctx) -> tuple[QuadElem, FractionQuad]:
+        a = self._rational(rng)
+        b = Fraction(0) if ctx.disc is None or rng.random() < 0.25 else self._rational(rng)
+        return QuadElem(ctx, a, b), FractionQuad(ctx, a, b)
+
+    @staticmethod
+    def _same(x: QuadElem, y: FractionQuad) -> None:
+        assert type(x.a) is Fraction and type(x.b) is Fraction
+        assert (x.a, x.b) == (y.a, y.b)
+        assert hash(x) == hash(y)
+        assert x.sort_key() == y.sort_key()
+        assert repr(x) == repr(y) and str(x) == str(y)
+        assert (x.is_zero(), x.is_rational(), bool(x)) == (y.is_zero(), y.is_rational(), bool(y))
+        if y.is_rational() or y.ctx.disc > 0:
+            assert x.real_sign() == y.real_sign()
+            assert x.real_value() == y.real_value()
+        else:
+            with pytest.raises(ValueError):
+                x.real_sign()
+        if y.is_rational():
+            assert x.as_fraction() == y.as_fraction()
+        # equal to its rational part, or that part's numerator, only when rational
+        for c in (y.a, y.a.numerator):
+            assert (x == c) == (y == c)
+
+    @staticmethod
+    def _plain(rng):
+        return rng.choice([0, 1, -1, 7, -(10**30), Fraction(3, 4), Fraction(-5, 12)])
+
+    @pytest.mark.parametrize("ctx", CTXS, ids=str)
+    def test_random_expressions(self, ctx):
+        rng = random.Random(f"quad-{ctx.disc}")
+        pool = [self._value(rng, ctx) for _ in range(12)]
+        for _ in range(1500):
+            (x, xo), (y, yo) = rng.choice(pool), rng.choice(pool)
+            op = rng.choice(["+", "-", "*", "/", "inv", "neg", "conj", "plain"])
+            if op == "+":
+                r = (x + y, xo + yo)
+            elif op == "-":
+                r = (x - y, xo - yo)
+            elif op == "*":
+                r = (x * y, xo * yo)
+            elif op == "/":
+                if yo.is_zero():
+                    with pytest.raises(ZeroDivisionError):
+                        x / y
+                    continue
+                r = (x / y, xo / yo)
+            elif op == "inv":
+                if xo.is_zero():
+                    with pytest.raises(ZeroDivisionError):
+                        x.inverse()
+                    continue
+                r = (x.inverse(), xo.inverse())
+            elif op == "neg":
+                r = (-x, -xo)
+            elif op == "conj":
+                r = (x.conjugate(), xo.conjugate())
+            else:
+                c = self._plain(rng)
+                assert (x == c) == (xo == c)
+                assert (c == x) == (c == xo)
+                r = rng.choice(
+                    [
+                        lambda: (x + c, xo + c),
+                        lambda: (c + x, c + xo),
+                        lambda: (x - c, xo - c),
+                        lambda: (c - x, c - xo),
+                        lambda: (x * c, xo * c),
+                        lambda: (c * x, c * xo),
+                    ]
+                )()
+                if c != 0:
+                    self._same(x / c, xo / c)
+                if not xo.is_zero():
+                    self._same(c / x, c / xo)
+            self._same(*r)
+            assert (r[0] == x) == (r[1] == xo)
+            # keep the pool's values from growing without bound
+            if len(str(r[1])) < 400:
+                pool[rng.randrange(len(pool))] = r
+
+    @pytest.mark.parametrize("ctx", CTXS, ids=str)
+    def test_constructor_and_of(self, ctx):
+        rng = random.Random(f"ctor-{ctx.disc}")
+        for _ in range(200):
+            x, xo = self._value(rng, ctx)
+            self._same(x, xo)
+            # the constructor's form is the canonical one that arithmetic gives
+            assert x == QuadElem(ctx, xo.a) + QuadElem(ctx, 0, xo.b)
+            c = self._rational(rng)
+            self._same(QuadElem.of(ctx, c), FractionQuad.of(ctx, c))
+        self._same(QuadElem.of(ctx, 3), FractionQuad.of(ctx, 3))
+        self._same(QuadElem(ctx, True), FractionQuad(ctx, True))
+        self._same(QuadElem(ctx, "-2/6"), FractionQuad(ctx, "-2/6"))
+
+    @pytest.mark.parametrize("ctx", CTXS, ids=str)
+    def test_zero_and_equality_with_numbers(self, ctx):
+        zero, zo = QuadElem(ctx, 0), FractionQuad(ctx, Fraction(0))
+        self._same(zero, zo)
+        self._same(zero - zero, zo - zo)
+        for c in (0, 1, Fraction(0), Fraction(1, 2), 2.5, None):
+            assert (zero == c) == (zo == c)
+            assert (zero != c) == (zo != c)
+        half = QuadElem(ctx, Fraction(1, 2))
+        assert half == Fraction(1, 2) and half != 1 and half != Fraction(1, 3)
+
+    @pytest.mark.parametrize("disc", [2, 5, 7])
+    def test_inverse_of_negative_norm(self, disc):
+        ctx = FieldCtx(disc)
+        rng = random.Random(f"norm-{disc}")
+        for _ in range(100):
+            b = Fraction(rng.randint(1, 10**12), rng.randint(1, 10**6)) * rng.choice([-1, 1])
+            # |a| < |b| sqrt(d), so a^2 - b^2 d < 0
+            a = Fraction(rng.randint(0, abs(b.numerator)), b.denominator) * rng.choice([-1, 1])
+            x, xo = QuadElem(ctx, a, b), FractionQuad(ctx, a, b)
+            assert (xo.a**2 - xo.b**2 * disc) < 0
+            self._same(x.inverse(), xo.inverse())
+            self._same(1 / x, 1 / xo)
+            assert x * x.inverse() == 1
+
+    def test_validation_is_unchanged(self):
+        for cls in (QuadElem, FractionQuad):
+            with pytest.raises(FieldMismatchError):
+                cls(FieldCtx(5, True), Fraction(1))
+            with pytest.raises(FieldMismatchError):
+                cls(RATIONAL, Fraction(1), Fraction(1))
+            with pytest.raises(FieldMismatchError):
+                cls(FieldCtx(5), 1) + cls(FieldCtx(-3), 1)
+            with pytest.raises(FieldMismatchError):
+                cls.of(FieldCtx(None, True), 1)
+            with pytest.raises(AttributeError):
+                cls(FieldCtx(5), 1).a = Fraction(2)
 
 
 class TestSquarefreeDecompose:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from freearr.catalog import (
     pentagonal,
 )
 from freearr.freeness import is_free
-from freearr.geometry import Arrangement, Line, cone, join
+from freearr.geometry import Arrangement, Line, cone, join, orthogonal_pair
 from freearr.lattice import addition_counts, compute_lattice, extend_lattice
 from freearr.moduli import Family
 from freearr.scalar import RATIONAL, FieldCtx, Poly, QuadElem
@@ -27,7 +28,6 @@ from freearr.search import (
     SearchError,
     _addition_candidates,
     _generic_representative,
-    _pencil_representative,
     free_additions,
     free_deletions,
     is_inductively_free,
@@ -127,6 +127,25 @@ class TestFreeAdditions:
             free_additions(bad, cache=cache)
 
 
+def _oracle_pencil_representative(A, lat, P):
+    """The pencil-representative loop that tests every k against every flat point."""
+    ctx = A.ctx
+    l1, l2 = (Line(ctx, t) for t in orthogonal_pair(P))
+    others = [fp.point for fp in lat.points if fp.point != P]
+    for k in itertools.count():
+        kk = ctx.scalar(k)
+        coeffs = tuple(a + kk * b for a, b in zip(l1.coeffs, l2.coeffs))
+        if all(c.is_zero() for c in coeffs):
+            continue
+        cand = Line(ctx, coeffs)
+        if cand in A:
+            continue
+        if any(cand.eval_at(q).is_zero() for q in others):
+            continue
+        return cand
+    return None
+
+
 def _reference_candidate_verdicts(A, lat):
     """The candidate loop of free_additions as a slow oracle.
 
@@ -144,7 +163,7 @@ def _reference_candidate_verdicts(A, lat):
                 candidates.append(cand)
     if not A.ctx.parametric:
         for fp in lat.points:
-            rep = _pencil_representative(A, lat, fp.point)
+            rep = _oracle_pencil_representative(A, lat, fp.point)
             if rep is not None and rep not in seen:
                 seen.add(rep)
                 candidates.append(rep)
@@ -193,6 +212,17 @@ ORACLE_INPUTS = {
 }
 
 
+PENCIL_INPUTS = {
+    **{name: build for name, build in ORACLE_INPUTS.items() if name != "braid_with_moving_line"},
+    "family13(1/2, sqrt3)": lambda: family13(Fraction(1, 2), sqrt3=True),
+    "family13(golden)": lambda: family13(QuadElem(FieldCtx(5), Fraction(1, 2), Fraction(1, 2))),
+    "family15(i)": lambda: family15(QuadElem(FieldCtx(-1), 0, 1)),
+    "dual_hesse+line": lambda: dual_hesse().add(Line(FieldCtx(-3), (1, -1, 0))),
+    # one flat point, and lines of A with no other flat point on them
+    "pencil": lambda: Arrangement(RATIONAL, [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -1, 0)]),
+}
+
+
 class TestCountBasedAdditions:
     """free_additions decides candidates from counts; check it against lattices."""
 
@@ -214,6 +244,17 @@ class TestCountBasedAdditions:
             assert counts == (fresh.nlines, fresh.mu_total, fresh.n_by_line)
             assert is_free(B, counts) == expected
         assert free_additions(A, lat) == [cand for cand, r in reference if r.is_free]
+
+    @pytest.mark.parametrize("name", PENCIL_INPUTS)
+    def test_pencil_representatives_match_oracle(self, name):
+        """On every flat point, the representative is the one the per-point loop picks."""
+        A = PENCIL_INPUTS[name]()
+        lat = compute_lattice(A)
+        # the candidates flagged with one flat point are the pencil representatives
+        reps = {min(on): cand for cand, on in _addition_candidates(A, lat).items() if len(on) == 1}
+        assert len(reps) == len(lat.points)
+        for k, fp in enumerate(lat.points):
+            assert reps[k] == _oracle_pencil_representative(A, lat, fp.point), k
 
     def test_parametric_scans_joins_only(self):
         A = braid_with_moving_line()
