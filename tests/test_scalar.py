@@ -347,7 +347,6 @@ def test_meet_matches_ratfn_cross_product(name):
             assert got == _oracle_point(A[i], A[j]), (i, j)
 
 
-
 # ---------------------------------------------------------------------------
 # QuadElem against the Fraction-pair representation it replaced
 
