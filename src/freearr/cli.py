@@ -11,6 +11,7 @@ failure, 5 not drawable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -358,6 +359,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
+    return _build_parser()
+
+
 _HANDLERS = {
     "analyze": _cmd_analyze,
     "charpoly": _cmd_charpoly,
@@ -375,7 +382,7 @@ _HANDLERS = {
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         result = _HANDLERS[args.command](args)
     except tuple(_EXIT_CODES) as e:

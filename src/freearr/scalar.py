@@ -10,6 +10,7 @@ different contexts is a :class:`FieldMismatchError`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
@@ -76,12 +77,13 @@ class FieldCtx:
             s, d = squarefree_decompose(self.disc)
             if s != 1:
                 raise ValueError(f"discriminant {self.disc} is not squarefree")
+        # kept outside the dataclass fields, so ==, hash and repr ignore it
+        base = FieldCtx(self.disc, False) if self.parametric else self
+        object.__setattr__(self, "_base", base)
 
     def base(self) -> "FieldCtx":
-        """The non-parametric field underlying this context."""
-        if not self.parametric:
-            return self
-        return FieldCtx(self.disc, False)
+        """The non-parametric field underlying this context (one kept instance)."""
+        return self._base
 
     # -- scalar constructors ------------------------------------------------
 
@@ -135,6 +137,23 @@ class FieldCtx:
 
 
 RATIONAL = FieldCtx()
+
+_HASH_MODULUS = sys.hash_info.modulus
+
+
+def _fraction_hash(p: int, n: int) -> int:
+    """hash(Fraction(p, n)) for n > 0, computed as ``Fraction.__hash__`` does.
+
+    The hash of a rational is |p| * n^-1 modulo the hash prime, signed, so a
+    common factor of p and n drops out unless the prime divides n.  An int
+    in (-prime, prime) other than -1 hashes to itself, so the result can
+    stand for the Fraction inside a tuple.
+    """
+    if n % _HASH_MODULUS == 0:
+        return hash(Fraction(p, n))
+    h = hash(hash(abs(p)) * pow(n, -1, _HASH_MODULUS))
+    h = h if p >= 0 else -h
+    return -2 if h == -1 else h
 
 
 class QuadElem:
@@ -315,7 +334,7 @@ class QuadElem:
         # equal to hash((ctx, a, b)) with a, b Fractions, which hash as ints when n = 1
         if self._n == 1:
             return hash((self.ctx, self._p, self._q))
-        return hash((self.ctx, self.a, self.b))
+        return hash((self.ctx, _fraction_hash(self._p, self._n), _fraction_hash(self._q, self._n)))
 
     def sort_key(self) -> tuple:
         if self._n == 1:

@@ -2,10 +2,10 @@
 
 A move adds or deletes one line; a chain is a move sequence through free
 arrangements only.  Inductive freeness (deletions only) is decided by a
-memoized depth-first search; recursive freeness is probed by a bounded
-best-first search over the move graph that prefers deletions and smaller
-states, with a sound and complete negative certificate when the free
-neighborhood of the input is empty.
+memoized depth-first search on the intersection lattice, with integers only;
+recursive freeness is probed by a bounded best-first search over the move
+graph that prefers deletions and smaller states, with a sound and complete
+negative certificate when the free neighborhood of the input is empty.
 """
 
 from __future__ import annotations
@@ -18,10 +18,12 @@ from typing import Optional
 from .freeness import FreenessResult, is_free
 from .geometry import Arrangement, Line, Point, join, orthogonal_pair
 from .lattice import (
+    CharPoly,
     Counts,
     LatticeData,
     addition_counts,
     compute_lattice,
+    exponents_from_charpoly,
     extend_lattice,
     restrict_lattice,
 )
@@ -61,7 +63,9 @@ class Chain:
     """A path of free arrangements from ``start`` by one-line moves.
 
     ``stages`` holds the exponent triple of the start arrangement followed by
-    the exponents after each move.
+    the exponents after each move.  The searches read them off chi (or
+    take them from the freeness results they already hold); ``verify_chain``
+    re-derives each one with a fresh freeness test.
     """
 
     start: Arrangement
@@ -92,7 +96,12 @@ class RecursiveVerdict:
 
 
 class SearchCache:
-    """Shared memo tables keyed by order-independent arrangement identity."""
+    """Shared memo tables keyed by order-independent arrangement identity.
+
+    ``freeness`` holds ``is_free`` results; ``inductive`` holds the answer of
+    ``is_inductively_free`` for a whole arrangement (its deletion order and
+    stages, or None).
+    """
 
     __slots__ = ("freeness", "inductive")
 
@@ -230,33 +239,62 @@ def free_additions(
 
 
 # ---------------------------------------------------------------------------
-# Inductive freeness (deletions only)
+# Inductive freeness (deletions only), decided on the lattice
 
 
-def _if_search(
-    A: Arrangement, lat: LatticeData, cache: SearchCache
-) -> Optional[tuple[Line, ...]]:
-    """Deletion order emptying A through free stages, or None."""
-    key = A.canonical_key()
-    if key in cache.inductive:
-        return cache.inductive[key]
-    result: Optional[tuple[Line, ...]] = None
-    if len(A) == 0:
-        result = ()
-    else:
-        r = cache.is_free(A, lat)
-        if r.is_free:
-            for h in range(len(A)):
-                sub = A.delete(h)
-                sublat = restrict_lattice(lat, h)
-                if not cache.is_free(sub, sublat).is_free:
+def _stage_exponents(size: int, mu: int) -> Optional[tuple[int, int, int]]:
+    """Exponents read off chi for ``size`` lines with total mu, if it splits."""
+    if size == 0:
+        return (0, 0, 0)
+    return exponents_from_charpoly(CharPoly(size, mu))
+
+
+def _if_search(lat: LatticeData) -> Optional[tuple[tuple[int, tuple[int, int, int]], ...]]:
+    """Deletion order emptying the arrangement of ``lat``, or None.
+
+    Each entry is a deleted line index with the exponents after its deletion.
+    The search runs over labelled subsets S of the lines, held as bit masks,
+    and uses integers only.  By the addition-deletion theorem (Orlik-Terao
+    1992, Thm 4.51; in rank 3 the restriction to H has exponents
+    (1, n_{S,H} - 1)), S is inductively free iff it has at most one line or
+    some H in S has S minus H inductively free with n_{S,H} - 1 in
+    exp(S minus H).  The exponents of an inductively free S minus H are the
+    roots of its chi, and mu(S minus H) = mu(S) - n_{S,H}.  Only flats of
+    three or more lines of A can keep three or more lines of S, so n_{S,H}
+    is |S| - 1 less the excess k - 2 of each such flat of S through H.
+    Lines are tried in index order.
+    """
+    flats = [(sum(1 << i for i in f), f) for f in lat.big_flats()]
+    memo: dict[int, Optional[tuple[tuple[int, tuple[int, int, int]], ...]]] = {}
+
+    def search(S: int, size: int, mu: int):
+        if S in memo:
+            return memo[S]
+        members = [i for i in range(lat.nlines) if S >> i & 1]
+        result = None
+        if size <= 1:
+            result = tuple((h, (0, 0, 0)) for h in members)
+        else:
+            excess = dict.fromkeys(members, 0)
+            for mask, incident in flats:
+                k = (mask & S).bit_count()
+                if k >= 3:
+                    for i in incident:
+                        if S >> i & 1:
+                            excess[i] += k - 2
+            for h in members:
+                n = size - 1 - excess[h]
+                exps = _stage_exponents(size - 1, mu - n)
+                if exps is None or n - 1 not in exps[1:]:
                     continue
-                tail = _if_search(sub, sublat, cache)
+                tail = search(S & ~(1 << h), size - 1, mu - n)
                 if tail is not None:
-                    result = (A[h],) + tail
+                    result = ((h, exps),) + tail
                     break
-    cache.inductive[key] = result
-    return result
+        memo[S] = result
+        return result
+
+    return search((1 << lat.nlines) - 1, lat.nlines, lat.mu_total)
 
 
 def is_inductively_free(
@@ -264,28 +302,27 @@ def is_inductively_free(
     lat: Optional[LatticeData] = None,
     cache: Optional[SearchCache] = None,
 ) -> Optional[Chain]:
-    """A deletion chain from A to the empty arrangement, or None."""
+    """A deletion chain from A to the empty arrangement, or None.
+
+    The chain's stages are the exponents read off chi at each stage; no
+    freeness test runs.  ``verify_chain`` re-checks them independently.
+    """
     cache = cache or SearchCache()
-    if lat is None:
-        lat = compute_lattice(A)
-    order = _if_search(A, lat, cache)
-    if order is None:
+    key = A.canonical_key()
+    if key not in cache.inductive:
+        if lat is None:
+            lat = compute_lattice(A)
+        start = _stage_exponents(len(A), lat.mu_total)
+        # an inductively free arrangement is free, so its chi splits
+        found = None if start is None else _if_search(lat)
+        if found is not None:
+            found = (tuple(A[h] for h, _ in found), (start,) + tuple(e for _, e in found))
+        cache.inductive[key] = found
+    found = cache.inductive[key]
+    if found is None:
         return None
-    return _chain_from_moves(A, [Move("delete", l) for l in order], cache)
-
-
-def _chain_from_moves(
-    A: Arrangement, moves: list[Move], cache: SearchCache
-) -> Chain:
-    stages = [cache.is_free(A).exponents]
-    cur = A
-    for mv in moves:
-        if mv.kind == "add":
-            cur = cur.add(mv.line)
-        else:
-            cur = cur.delete(cur.lines.index(mv.line))
-        stages.append(cache.is_free(cur).exponents)
-    return Chain(start=A, moves=tuple(moves), stages=tuple(stages))
+    order, stages = found
+    return Chain(A, tuple(Move("delete", l) for l in order), stages)
 
 
 def verify_chain(chain: Chain) -> bool:
@@ -330,9 +367,9 @@ def recursive_freeness_bounded(
     if max_size < len(A):
         raise SearchError("max_size must be at least the arrangement size")
     lat = compute_lattice(A)
-    _require_free(A, cache, lat)
+    start = _require_free(A, cache, lat).exponents
     if len(A) == 0:
-        return RecursiveVerdict("yes", Chain(A, (), (cache.is_free(A).exponents,)))
+        return RecursiveVerdict("yes", Chain(A, (), (start,)))
 
     dels = free_deletions(A, lat, cache)
     adds = free_additions(A, lat, cache)
@@ -346,20 +383,20 @@ def recursive_freeness_bounded(
             },
         )
 
+    # a heap entry carries the moves from A and the exponents of each stage
     counter = itertools.count()
-    heap: list[tuple[int, int, Arrangement, LatticeData, tuple[Move, ...]]] = []
-    heapq.heappush(heap, (len(A), next(counter), A, lat, ()))
+    heap: list[tuple[int, int, Arrangement, LatticeData, tuple[Move, ...], tuple]] = []
+    heapq.heappush(heap, (len(A), next(counter), A, lat, (), (start,)))
     visited = {A.canonical_key()}
     while heap:
-        size, _, cur, curlat, path = heapq.heappop(heap)
+        size, _, cur, curlat, path, stages = heapq.heappop(heap)
         probe = is_inductively_free(cur, curlat, cache)
         if probe is not None:
-            moves = list(path) + list(probe.moves)
-            chain = _chain_from_moves(A, moves, cache)
+            chain = Chain(A, path + probe.moves, stages + probe.stages[1:])
             if not verify_chain(chain):
                 raise SearchError("internal error: found chain fails re-verification")
             return RecursiveVerdict("yes", chain)
-        for h, _exps in free_deletions(cur, curlat, cache):
+        for h, exps in free_deletions(cur, curlat, cache):
             sub = cur.delete(h)
             key = sub.canonical_key()
             if key in visited:
@@ -373,6 +410,7 @@ def recursive_freeness_bounded(
                     sub,
                     restrict_lattice(curlat, h),
                     path + (Move("delete", cur[h]),),
+                    stages + (exps,),
                 ),
             )
         if size < max_size:
@@ -390,6 +428,7 @@ def recursive_freeness_bounded(
                         sup,
                         extend_lattice(curlat, cur, line),
                         path + (Move("add", line),),
+                        stages + (cache.is_free(sup).exponents,),
                     ),
                 )
     return RecursiveVerdict("unknown", certificate={"size_bound": max_size})

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import argparse
+import contextlib
+import io
 import json
 import math
 import time
 
 import pytest
 
-from freearr.cli import main
+from freearr.cli import _build_parser, _parser, main
 
 
 def run(capsys, *argv):
@@ -231,3 +234,45 @@ class TestExitCodes:
 
         with pytest.raises(FieldMismatchError):
             family13(parse_param("sqrt(5)"), sqrt3=True)
+
+
+class TestParserKept:
+    """The parser built once per process parses like a freshly built one."""
+
+    ARGVS = [
+        ["freeness", "catalog:dual_hesse"],
+        ["--md", "inductive", "catalog:eleven_if"],
+        ["recursive", "catalog:g443", "--max-size", "14", "--json"],
+        ["analyze", "in.json", "--md"],
+        ["scan-family", "family13", "--samples", "2,5", "--symbolic"],
+        ["classify-profiles", "--max", "12"],
+        ["catalog", "get", "pentagonal", "--svg"],
+        ["catalog", "check", "family13", "--param", "3"],
+        ["render", "catalog:g443", "-o", "out.svg", "--viewport", "-1,1,-1,1"],
+        ["deletions", "catalog:eleven_if"],
+        # usage errors
+        [],
+        ["nosuch", "catalog:g443"],
+        ["freeness"],
+        ["recursive", "catalog:g443", "--max-size", "many"],
+        ["classify-profiles"],
+        ["catalog", "drop", "g443"],
+        ["additions", "catalog:g443", "--bogus"],
+        ["charpoly", "catalog:dual_hesse"],
+    ]
+
+    @staticmethod
+    def _parse(parser: argparse.ArgumentParser, argv):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            try:
+                return parser.parse_args(argv), err.getvalue()
+            except SystemExit as e:
+                return ("exit", e.code), err.getvalue()
+
+    def test_same_namespace_as_fresh_parser(self):
+        kept = _parser()
+        assert _parser() is kept
+        for argv in self.ARGVS:
+            assert self._parse(kept, argv) == self._parse(_build_parser(), argv), argv
+        assert _parser() is kept

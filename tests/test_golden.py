@@ -31,6 +31,9 @@ CASES = {
     "charpoly_g443": ["charpoly", "catalog:g443"],
     "analyze_eleven_if": ["analyze", "catalog:eleven_if"],
     "deletions_eleven_if": ["deletions", "catalog:eleven_if"],
+    "inductive_eleven_if": ["inductive", "catalog:eleven_if"],
+    "inductive_dual_hesse": ["inductive", "catalog:dual_hesse"],
+    "recursive_eleven_if": ["recursive", "catalog:eleven_if"],
     "render_family13_2_3": ["render", "catalog:family13?lambda=2/3"],
     "catalog_get_pentagonal_svg": ["catalog", "get", "pentagonal", "--svg"],
     "scan_family13": ["scan-family", "family13", "--samples", "2,5"],

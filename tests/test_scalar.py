@@ -20,6 +20,7 @@ from freearr.scalar import (
     sqrt_rational,
     squarefree_decompose,
 )
+from freearr.scalar import _HASH_MODULUS, _fraction_hash
 
 
 def frac(a, b=1):
@@ -49,6 +50,30 @@ class TestFieldCtx:
             FieldCtx(2), frac(0), frac(1, 2)
         )
         assert sqrt_rational(RATIONAL, 4) == QuadElem.of(RATIONAL, 2)
+
+    def test_base_is_one_kept_instance(self):
+        for ctx in (FieldCtx(None, True), FieldCtx(5, True), FieldCtx(-1, True)):
+            base = ctx.base()
+            assert ctx.base() is base
+            assert base == FieldCtx(ctx.disc) and hash(base) == hash(FieldCtx(ctx.disc))
+            assert repr(base) == f"FieldCtx(disc={ctx.disc}, parametric=False)"
+            assert not base.parametric and base.base() is base
+        ctx = FieldCtx(-3, True)
+        assert ctx == FieldCtx(-3, True) and hash(ctx) == hash(FieldCtx(-3, True))
+        assert repr(ctx) == "FieldCtx(disc=-3, parametric=True)"
+        assert RATIONAL.base() is RATIONAL
+
+    def test_fraction_hash_from_ints(self):
+        """The int-only hash equals hash(Fraction(p, n)), reduced or not."""
+        rng = random.Random(11)
+        M = _HASH_MODULUS
+        cases = [(p, n) for p in range(-30, 31) for n in range(1, 25)]
+        cases += [(rng.randint(-(10**40), 10**40), rng.randint(1, 10**30)) for _ in range(2000)]
+        # denominators the hash prime divides, with and without a common factor
+        cases += [(M * k + r, M * j) for k in (-2, 0, 1) for r in (-1, 0, 1, 5) for j in (1, 3)]
+        cases += [(M - 1, 1), (-(M - 1), 2), (-1, 1), (-M - 1, M + 1)]
+        for p, n in cases:
+            assert _fraction_hash(p, n) == hash(Fraction(p, n)), (p, n)
 
     def test_context_mismatch(self):
         x = FieldCtx(5).one()

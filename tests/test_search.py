@@ -18,7 +18,7 @@ from freearr.catalog import (
 )
 from freearr.freeness import is_free
 from freearr.geometry import Arrangement, Line, cone, join, orthogonal_pair
-from freearr.lattice import addition_counts, compute_lattice, extend_lattice
+from freearr.lattice import addition_counts, compute_lattice, extend_lattice, restrict_lattice
 from freearr.moduli import Family
 from freearr.scalar import RATIONAL, FieldCtx, Poly, QuadElem
 from freearr.search import (
@@ -310,6 +310,139 @@ class TestInductivelyFree:
     def test_nonfree_is_none(self, cache):
         bad = Arrangement(RATIONAL, [(1, 0, 0), (0, 1, 0), (1, 1, 1), (1, -1, 2)])
         assert is_inductively_free(bad, cache=cache) is None
+
+
+# ---------------------------------------------------------------------------
+# The deletion search that decides every stage with is_free, kept as the oracle
+# of the integer search
+
+
+def _oracle_deletion_order(A, lat, cache, memo):
+    """Deletion order emptying A through free stages, or None."""
+    key = A.canonical_key()
+    if key in memo:
+        return memo[key]
+    result = None
+    if len(A) == 0:
+        result = ()
+    elif cache.is_free(A, lat).is_free:
+        for h in range(len(A)):
+            sub = A.delete(h)
+            sublat = restrict_lattice(lat, h)
+            if not cache.is_free(sub, sublat).is_free:
+                continue
+            tail = _oracle_deletion_order(sub, sublat, cache, memo)
+            if tail is not None:
+                result = (A[h],) + tail
+                break
+    memo[key] = result
+    return result
+
+
+def _oracle_chain_from_moves(A, moves, cache):
+    """The chain of ``moves`` from A with each stage's exponents from is_free."""
+    stages = [cache.is_free(A).exponents]
+    cur = A
+    for mv in moves:
+        if mv.kind == "add":
+            cur = cur.add(mv.line)
+        else:
+            cur = cur.delete(cur.lines.index(mv.line))
+        stages.append(cache.is_free(cur).exponents)
+    return Chain(start=A, moves=tuple(moves), stages=tuple(stages))
+
+
+def _oracle_inductive_chain(A):
+    cache = SearchCache()
+    order = _oracle_deletion_order(A, compute_lattice(A), cache, {})
+    if order is None:
+        return None
+    return _oracle_chain_from_moves(A, [Move("delete", l) for l in order], cache)
+
+
+GOLDEN_RATIO = QuadElem(FieldCtx(5), Fraction(1, 2), Fraction(1, 2))
+GAUSS_I = QuadElem(FieldCtx(-1), 0, 1)
+
+# the catalog, and family fibres over Q, Q(sqrt 5) and Q(i)
+IF_ORACLE_INPUTS = {
+    "dual_hesse": dual_hesse,
+    "pentagonal": pentagonal,
+    "g443": g443,
+    "eleven_if": eleven_if,
+    "braid_with_moving_line": braid_with_moving_line,
+    "family13(3)": lambda: family13(3),
+    "family13(2)": lambda: family13(2),
+    "family13(-5/2)": lambda: family13(Fraction(-5, 2)),
+    "family15(2)": lambda: family15(2),
+    "family15(5)": lambda: family15(5),
+    "family13(golden)": lambda: family13(GOLDEN_RATIO),
+    "family15(golden)": lambda: family15(GOLDEN_RATIO),
+    "family13(i)": lambda: family13(GAUSS_I),
+    "family15(i)": lambda: family15(GAUSS_I),
+}
+
+
+@pytest.fixture(scope="module")
+def oracle_pool():
+    """The numeric oracle inputs and each of their free one-line additions."""
+    pool = []
+    for name, build in IF_ORACLE_INPUTS.items():
+        A = build()
+        if A.ctx.parametric:
+            continue
+        pool.append(A)
+        pool.extend(A.add(line) for line in free_additions(A))
+    return pool
+
+
+class TestInductiveOracle:
+    """The integer search returns the chain of the per-stage is_free search."""
+
+    @pytest.mark.parametrize("name", IF_ORACLE_INPUTS)
+    def test_catalog_and_fibres(self, name):
+        A = IF_ORACLE_INPUTS[name]()
+        assert is_inductively_free(A) == _oracle_inductive_chain(A)
+
+    def test_free_additions(self, oracle_pool):
+        verdicts = set()
+        for A in oracle_pool:
+            chain = is_inductively_free(A)
+            assert chain == _oracle_inductive_chain(A), A
+            verdicts.add(chain is not None)
+        assert verdicts == {True, False}
+        assert len(oracle_pool) > 60
+
+    def test_seeded_free_subarrangements(self, oracle_pool):
+        rng = random.Random(2024)
+        counts = {True: 0, False: 0}
+        while sum(counts.values()) < 300:
+            B = rng.choice(oracle_pool)
+            A = Arrangement(B.ctx, rng.sample(B.lines, len(B) - rng.randint(1, 4)))
+            if not is_free(A).is_free:
+                continue
+            chain = is_inductively_free(A)
+            assert chain == _oracle_inductive_chain(A), A
+            if chain is not None:
+                assert verify_chain(chain)
+            counts[chain is not None] += 1
+        assert counts[True] > 0 and counts[False] > 0, counts
+
+    def test_answers_memoised_by_line_set(self):
+        """Whole-arrangement answers are memoised by line set, whatever the order."""
+        cache = SearchCache()
+        A = eleven_if()
+        first = is_inductively_free(A, cache=cache)
+        B = Arrangement(A.ctx, reversed(A.lines))
+        again = is_inductively_free(B, cache=cache)
+        assert len(cache.inductive) == 1
+        assert again.start == B and again.moves == first.moves and again.stages == first.stages
+
+    @pytest.mark.parametrize("name", ["dual_hesse", "pentagonal", "family13(golden)"])
+    def test_recursive_stages_match_oracle(self, name):
+        A = IF_ORACLE_INPUTS[name]()
+        v = recursive_freeness_bounded(A, max_size=len(A) + 2)
+        assert v.kind == "yes"
+        assert v.chain == _oracle_chain_from_moves(A, v.chain.moves, SearchCache())
 
 
 class TestRecursive:
