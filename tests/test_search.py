@@ -365,15 +365,9 @@ GAUSS_I = QuadElem(FieldCtx(-1), 0, 1)
 
 # the catalog, and family fibres over Q, Q(sqrt 5) and Q(i)
 IF_ORACLE_INPUTS = {
-    "dual_hesse": dual_hesse,
-    "pentagonal": pentagonal,
-    "g443": g443,
-    "eleven_if": eleven_if,
-    "braid_with_moving_line": braid_with_moving_line,
-    "family13(3)": lambda: family13(3),
+    **ORACLE_INPUTS,
     "family13(2)": lambda: family13(2),
     "family13(-5/2)": lambda: family13(Fraction(-5, 2)),
-    "family15(2)": lambda: family15(2),
     "family15(5)": lambda: family15(5),
     "family13(golden)": lambda: family13(GOLDEN_RATIO),
     "family15(golden)": lambda: family15(GOLDEN_RATIO),
