@@ -30,6 +30,8 @@ CASES = {
     "freeness_family13_golden_ratio": ["freeness", "catalog:family13?lambda=(1+sqrt(5))/2"],
     "charpoly_g443": ["charpoly", "catalog:g443"],
     "analyze_eleven_if": ["analyze", "catalog:eleven_if"],
+    "analyze_pentagonal": ["analyze", "catalog:pentagonal"],
+    "analyze_dual_hesse": ["analyze", "catalog:dual_hesse"],
     "deletions_eleven_if": ["deletions", "catalog:eleven_if"],
     "inductive_eleven_if": ["inductive", "catalog:eleven_if"],
     "inductive_dual_hesse": ["inductive", "catalog:dual_hesse"],
