@@ -4,8 +4,8 @@ Input is either a JSON arrangement file or ``catalog:name`` /
 ``catalog:name?lambda=VALUE``.  Reports are JSON by default (``--md`` for
 human-readable markdown) and are pure functions of the input and flags.
 
-Exit codes: 0 success, 2 parse/usage error, 3 field mismatch, 4 self-check
-failure, 5 not drawable.
+Exit codes: 0 success, 1 output pipe closed early, 2 parse/usage error,
+3 field mismatch, 4 self-check failure, 5 not drawable.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -57,6 +58,7 @@ from .svg import NotDrawableError, render_svg
 __all__ = ["main"]
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_PARSE = 2
 EXIT_FIELD = 3
 EXIT_SELFCHECK = 4
@@ -389,11 +391,21 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return next(_EXIT_CODES[c] for c in type(e).__mro__ if c in _EXIT_CODES)
     if isinstance(result, str):
-        sys.stdout.write(result)
+        text = result
     elif getattr(args, "md", False):
-        print(_to_markdown(result))
+        text = _to_markdown(result) + "\n"
     else:
-        print(json.dumps(result, indent=2))
+        text = json.dumps(result, indent=2) + "\n"
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe (``freearr ... | head``): point stdout at
+        # devnull so the flush at exit does not fail again, as the Python
+        # ``signal`` docs advise, and exit 1 without a traceback
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     return EXIT_OK
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .geometry import Arrangement, Point, meet, orthogonal_pair
+from .geometry import Arrangement, Point, key_order, meet, orthogonal_pair
 from .lattice import (
     CharPoly,
     Counts,
@@ -320,7 +320,8 @@ def ziegler_restriction(A: Arrangement, h: int) -> MultiArr2:
         groups[q] = groups.get(q, 0) + 1
     forms = []
     mult = []
-    for q in sorted(groups, key=lambda pt: pt.sort_key()):
+    qs = list(groups)
+    for q in (qs[i] for i in key_order(qs)):
         alpha, beta = _span_coords(p0, p1, q)
         # the form vanishing at (u, v) = (alpha, beta)
         forms.append((beta, -alpha))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .geometry import Arrangement, Line, Point, meet
+from .geometry import Arrangement, Line, Point, key_order, meet
 
 __all__ = [
     "FlatPoint",
@@ -72,7 +72,7 @@ class LatticeData:
     )
 
     def __init__(self, nlines: int, points: Sequence[FlatPoint]) -> None:
-        pts = sorted(points, key=lambda fp: fp.point.sort_key())
+        pts = [points[i] for i in key_order([fp.point for fp in points])]
         self.nlines = nlines
         self.points = tuple(pts)
         self.mu_total = sum(fp.mu for fp in pts)
@@ -124,42 +124,45 @@ Counts = Union[LatticeData, IncidenceCounts]
 
 
 def compute_lattice(A: Arrangement) -> LatticeData:
-    """Group all pairwise meets of A into flats."""
+    """Group all pairwise meets of A into flats, keyed by the points' forms.
+
+    All points share A's field, so the form alone identifies a point.
+    """
     n = len(A)
     if n < 1:
         return LatticeData(0, [])
-    by_point: dict[Point, set[int]] = {}
+    by_form: dict[tuple, tuple[Point, set[int]]] = {}
     for i in range(n):
         li = A[i]
         for j in range(i + 1, n):
             p = meet(li, A[j])
-            s = by_point.get(p)
-            if s is None:
-                by_point[p] = {i, j}
+            e = by_form.get(p.form)
+            if e is None:
+                by_form[p.form] = (p, {i, j})
             else:
-                s.add(i)
-                s.add(j)
+                e[1].add(i)
+                e[1].add(j)
     return LatticeData(
-        n, [FlatPoint(p, tuple(sorted(s))) for p, s in by_point.items()]
+        n, [FlatPoint(p, tuple(sorted(s))) for p, s in by_form.values()]
     )
 
 
 def extend_lattice(lat: LatticeData, A: Arrangement, line: Line) -> LatticeData:
     """Lattice of ``A.add(line)`` from the lattice of ``A`` (index = len(A))."""
     n = lat.nlines
-    by_point: dict[Point, set[int]] = {
-        fp.point: set(fp.incident) for fp in lat.points
+    by_form: dict[tuple, tuple[Point, set[int]]] = {
+        fp.point.form: (fp.point, set(fp.incident)) for fp in lat.points
     }
     for i in range(n):
         p = meet(A[i], line)
-        s = by_point.get(p)
-        if s is None:
-            by_point[p] = {i, n}
+        e = by_form.get(p.form)
+        if e is None:
+            by_form[p.form] = (p, {i, n})
         else:
-            s.add(i)
-            s.add(n)
+            e[1].add(i)
+            e[1].add(n)
     return LatticeData(
-        n + 1, [FlatPoint(p, tuple(sorted(s))) for p, s in by_point.items()]
+        n + 1, [FlatPoint(p, tuple(sorted(s))) for p, s in by_form.values()]
     )
 
 

@@ -195,6 +195,10 @@ class QuadElem:
         p, n = _ratio(x)
         return _wrap(ctx, p, 0, n)
 
+    def as_ints(self) -> tuple[int, int, int]:
+        """The canonical integers (p, q, n) of (p + q*sqrt(d))/n."""
+        return self._p, self._q, self._n
+
     @property
     def a(self) -> Fraction:
         """Rational part p/n."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .freeness import FreenessResult, is_free
-from .geometry import Arrangement, Line, Point, join, orthogonal_pair
+from .geometry import Arrangement, Line, Point, incident, join, pencil
 from .lattice import (
     CharPoly,
     Counts,
@@ -149,7 +149,7 @@ def free_deletions(
 
 
 def _pencil_representative(P: Point, taken: set[Line]) -> Line:
-    """The first line l1 + k*l2 (k = 0, 1, 2, ...) through P that is not in ``taken``.
+    """The first line of ``pencil(P)`` that is not in ``taken``.
 
     With ``taken`` the lines of A and the joins of pairs of flat points, the
     result is a line through P, through no other flat point, and not in A: a
@@ -157,17 +157,7 @@ def _pencil_representative(P: Point, taken: set[Line]) -> Line:
     P and q.  So no flat point is evaluated, and the k chosen is the one the
     per-point incidence test would choose.
     """
-    ctx = P.ctx
-    l1, l2 = (Line(ctx, t) for t in orthogonal_pair(P))
-    for k in itertools.count():
-        kk = ctx.scalar(k)
-        coeffs = tuple(a + kk * b for a, b in zip(l1.coeffs, l2.coeffs))
-        if all(c.is_zero() for c in coeffs):
-            continue
-        cand = Line(ctx, coeffs)
-        if cand not in taken:
-            return cand
-    raise SearchError("unreachable")
+    return next(line for line in pencil(P) if line not in taken)
 
 
 def _generic_representative(A: Arrangement, lat: LatticeData) -> Line:
@@ -175,27 +165,32 @@ def _generic_representative(A: Arrangement, lat: LatticeData) -> Line:
     ctx = A.ctx
     pts = [fp.point for fp in lat.points]
     for k in itertools.count(1):
-        kk = ctx.scalar(k)
-        cand = Line(ctx, (ctx.one(), kk, kk * kk))
+        cand = Line(ctx, (1, k, k * k))
         if cand in A:
             continue
-        if any(cand.eval_at(q).is_zero() for q in pts):
+        if any(incident(q, cand) for q in pts):
             continue
         return cand
     raise SearchError("unreachable")
 
 
 def _addition_candidates(A: Arrangement, lat: LatticeData) -> dict[Line, set[int]]:
-    """Candidate lines not in A, in scan order, each with the flat points on it."""
+    """Candidate lines not in A, in scan order, each with the flat points on it.
+
+    Two flat points on a common line of A join to that line, so only pairs
+    whose incident sets are disjoint are joined, and no line of A comes up.
+    """
     candidates: dict[Line, set[int]] = {}
     pts = [fp.point for fp in lat.points]
+    masks = [sum(1 << h for h in fp.incident) for fp in lat.points]
     for i in range(len(pts)):
+        p, m = pts[i], masks[i]
         for j in range(i + 1, len(pts)):
-            on = candidates.setdefault(join(pts[i], pts[j]), set())
+            if m & masks[j]:
+                continue
+            on = candidates.setdefault(join(p, pts[j]), set())
             on.add(i)
             on.add(j)
-    for line in A:
-        candidates.pop(line, None)
     if not A.ctx.parametric:
         taken = set(candidates).union(A.lines)
         for k, P in enumerate(pts):
@@ -232,7 +227,9 @@ def free_additions(
     _require_free(A, cache, lat)
     out: list[Line] = []
     for cand, on in _addition_candidates(A, lat).items():
-        r = cache.is_free(A.add(cand), addition_counts(lat, on))
+        # a candidate is never a line of A, so no duplicate scan
+        B = Arrangement._of(A.ctx, A.lines + (cand,))
+        r = cache.is_free(B, addition_counts(lat, on))
         if r.is_free:
             out.append(cand)
     return out
@@ -414,8 +411,9 @@ def recursive_freeness_bounded(
                 ),
             )
         if size < max_size:
+            # free_additions returns lines not in cur, so no duplicate scan
             for line in free_additions(cur, curlat, cache):
-                sup = cur.add(line)
+                sup = Arrangement._of(cur.ctx, cur.lines + (line,))
                 key = sup.canonical_key()
                 if key in visited:
                     continue

@@ -7,7 +7,11 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -234,6 +238,27 @@ class TestExitCodes:
 
         with pytest.raises(FieldMismatchError):
             family13(parse_param("sqrt(5)"), sqrt3=True)
+
+    def test_closed_pipe_exits_1_without_traceback(self):
+        # the read end is closed before the child starts, so its one write
+        # always meets a broken pipe, as in ``freearr analyze ... | head``
+        src = Path(__file__).resolve().parents[1] / "src"
+        path = [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "freearr.cli", "analyze", "catalog:pentagonal"],
+                stdout=w,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(w)
+        assert proc.returncode == 1
+        assert proc.stderr == b""
 
 
 class TestParserKept:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -15,8 +16,10 @@ from freearr.geometry import (
     cone,
     incident,
     join,
+    key_order,
     meet,
     orthogonal_pair,
+    pencil,
 )
 from freearr.scalar import RATIONAL, FieldCtx, FieldMismatchError, Poly, QuadElem
 
@@ -52,7 +55,7 @@ class TestNormalization:
         for ctx, raw in ((RATIONAL, (2, 4, -6)), (FieldCtx(None, True), (3, 0, 1))):
             for cls in (Line, Point):
                 x = cls(ctx, raw)
-                assert hash(x) == hash((cls.__name__, ctx, x.coeffs))
+                assert hash(x) == hash((ctx, x.form))
                 assert x.sort_key() == tuple(c.sort_key() for c in x.coeffs)
                 assert hash(x) == hash(x) and x.sort_key() is x.sort_key()
 
@@ -215,6 +218,15 @@ class TestOrthogonalPair:
                 assert type(t)(ctx, meet(Line(ctx, u), Line(ctx, v)).coords) == t
 
 
+def test_pencil_lines_pass_through_the_point():
+    ctx = FieldCtx(5)
+    P = Point(ctx, (1, ctx.sqrt_gen(), 2))
+    lines = list(itertools.islice(pencil(P), 5))
+    assert all(incident(P, l) for l in lines) and len(set(lines)) == 5
+    with pytest.raises(GeometryError):
+        next(pencil(Point(FieldCtx(None, True), (1, 0, 0))))
+
+
 def _sorted_sort_key(A: Arrangement) -> tuple:
     """The former canonical key: the sorted sort keys of the lines."""
     return (A.ctx, tuple(sorted(l.sort_key() for l in A.lines)))
@@ -251,3 +263,181 @@ def test_canonical_key_matches_sorted_sort_keys():
     assert all(len(v) == 1 for v in by_old.values())
     # each base, and each of its one-line deletions, is one class
     assert len(by_new) == len(by_old) == sum(len(A) + 1 for A in bases)
+
+
+# ---------------------------------------------------------------------------
+# The six-int form against the QuadElem normalisation it replaced
+
+
+def _oracle_normalize(ctx, raw):
+    """The former normalisation over Q(sqrt(d)): QuadElem entries, first nonzero 1."""
+    vals = [
+        v if isinstance(v, QuadElem) and (v.ctx is ctx or v.ctx == ctx) else ctx.scalar(v)
+        for v in raw
+    ]
+    pivot = next((v for v in vals if not v.is_zero()), None)
+    if pivot is None:
+        raise GeometryError("zero triple is not projective")
+    inv = pivot.inverse()
+    return tuple(ctx.one() if v is pivot else v * inv for v in vals)
+
+
+def _oracle_cross(a, b):
+    return [
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
+    ]
+
+
+def _oracle_meet(ctx, a, b):
+    """meet or join of two normalised triples, as the QuadElem code computed it."""
+    return _oracle_normalize(ctx, _oracle_cross(a, b))
+
+
+def _oracle_incident(p, l):
+    return sum((a * b for a, b in zip(p, l)), p[0].ctx.zero()).is_zero()
+
+
+def _oracle_sort_key(coeffs):
+    return tuple(c.sort_key() for c in coeffs)
+
+
+def _oracle_lattice(ctx, lines):
+    """(coords, incident) of every flat point, grouped and sorted on QuadElem triples."""
+    by_point: dict = {}
+    for i in range(len(lines)):
+        for j in range(i + 1, len(lines)):
+            p = _oracle_meet(ctx, lines[i], lines[j])
+            by_point.setdefault(p, set()).update((i, j))
+    return [
+        (p, tuple(sorted(s)))
+        for p, s in sorted(by_point.items(), key=lambda e: _oracle_sort_key(e[0]))
+    ]
+
+
+FIELDS = (None, 5, -3, -1)
+
+
+def _random_scalar(rng, ctx, digits):
+    def rat():
+        if rng.random() < 0.25:
+            return Fraction(0)
+        return Fraction(rng.randint(-(10**digits), 10**digits), rng.randint(1, 10**min(digits, 3)))
+
+    return QuadElem(ctx, rat(), rat() if ctx.disc is not None else 0)
+
+
+def _random_raw(rng, ctx, digits):
+    while True:
+        raw = tuple(_random_scalar(rng, ctx, digits) for _ in range(3))
+        if any(not c.is_zero() for c in raw):
+            return raw
+
+
+def _oracle_inputs():
+    """(name, ctx, raw triples): the catalog, family fibres and seeded random lines."""
+    from freearr import catalog
+
+    golden = QuadElem(FieldCtx(5), Fraction(1, 2), Fraction(1, 2))
+    arrangements = {
+        "dual_hesse": catalog.dual_hesse(),
+        "pentagonal": catalog.pentagonal(),
+        "g443": catalog.g443(),
+        "eleven_if": catalog.eleven_if(),
+        "family13(3)": catalog.family13(3),
+        "family13(1/2)": catalog.family13(Fraction(1, 2)),
+        "family13(golden)": catalog.family13(golden),
+        "family13(1/2, sqrt3)": catalog.family13(Fraction(1, 2), sqrt3=True),
+        "family15(2)": catalog.family15(2),
+        "family15(golden)": catalog.family15(golden),
+        "family15(i)": catalog.family15(QuadElem(FieldCtx(-1), 0, 1)),
+    }
+    out = [(name, A.ctx, [l.coeffs for l in A.lines]) for name, A in arrangements.items()]
+    rng = random.Random(11)
+    for disc in FIELDS:
+        ctx = FieldCtx(disc)
+        for digits in (1, 30):
+            raws = [_random_raw(rng, ctx, digits) for _ in range(9)]
+            # a scaled copy of a line, and a line through two meets of the
+            # others, so that the lattice has a triple point
+            lam = _random_raw(rng, ctx, digits)[0] or ctx.one()
+            raws.append(tuple(lam * c for c in raws[0]))
+            n = [_oracle_normalize(ctx, r) for r in raws[:4]]
+            p, q = _oracle_meet(ctx, n[0], n[1]), _oracle_meet(ctx, n[2], n[3])
+            raws.append(_oracle_meet(ctx, p, q))
+            out.append((f"random d={disc} digits={digits}", ctx, raws))
+    return out
+
+
+ORACLE_CASES = _oracle_inputs()
+
+
+@pytest.mark.parametrize("name,ctx,raws", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
+def test_forms_match_quadelem_oracle(name, ctx, raws):
+    """Equality, hashes, coeffs, sort keys, meets, joins and incidence agree."""
+    twin = FieldCtx(ctx.disc)  # equal to ctx, not the same object
+    assert twin == ctx and twin is not ctx
+    lines = [Line(ctx, r) for r in raws]
+    twins = [Line(twin, r) for r in raws]
+    normal = [_oracle_normalize(ctx, r) for r in raws]
+    for l, t, n in zip(lines, twins, normal):
+        assert l.coeffs == n and t.coeffs == n
+        assert l.sort_key() == _oracle_sort_key(n)
+        assert l == t and hash(l) == hash(t)
+        assert Line(ctx, n) == l and Point(ctx, n).coords == n
+    for a, na in zip(lines, normal):
+        for b, nb in zip(lines, normal):
+            assert (a == b) == (na == nb)
+            if a == b:
+                assert hash(a) == hash(b)
+    points = []
+    for i in range(len(lines)):
+        for j in range(i + 1, len(lines)):
+            if normal[i] == normal[j]:
+                with pytest.raises(GeometryError):
+                    meet(lines[i], lines[j])
+                continue
+            p = meet(lines[i], twins[j])
+            assert p.coords == _oracle_meet(ctx, normal[i], normal[j])
+            assert p.sort_key() == _oracle_sort_key(p.coords)
+            points.append(p)
+    for p in points[:12]:
+        for l, n in zip(lines, normal):
+            assert incident(p, l) == _oracle_incident(p.coords, n)
+            assert l.eval_at(p) == sum((a * b for a, b in zip(n, p.coords)), ctx.zero())
+    distinct = list(dict.fromkeys(points))
+    for p, q in zip(distinct[:12], distinct[1:13]):
+        assert join(p, q).coeffs == _oracle_meet(ctx, p.coords, q.coords)
+    keys = [p.sort_key() for p in distinct]
+    assert [distinct[i] for i in key_order(distinct)] == [
+        distinct[i] for i in sorted(range(len(distinct)), key=keys.__getitem__)
+    ]
+
+
+@pytest.mark.parametrize("name,ctx,raws", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
+def test_lattice_matches_quadelem_oracle(name, ctx, raws):
+    """compute_lattice gives the oracle's incident sets in the oracle's point order."""
+    from freearr.lattice import compute_lattice
+
+    lines = list(dict.fromkeys(Line(ctx, r) for r in raws))
+    lat = compute_lattice(Arrangement(ctx, lines))
+    expected = _oracle_lattice(ctx, [l.coeffs for l in lines])
+    assert [(fp.point.coords, fp.incident) for fp in lat.points] == expected
+
+
+def test_form_invariants_raise_geometry_errors():
+    with pytest.raises(GeometryError):
+        Point._of_ints(FieldCtx(5), (0, 0, 0, 0, 0, 0))
+    l = Line(FieldCtx(5), (0, 2, 4))
+    assert l.form == (0, 0, 1, 0, 2, 0)
+    # the first nonzero entry is made a positive rational integer
+    r5 = FieldCtx(5).sqrt_gen()
+    assert Line(FieldCtx(5), (r5, 1, 0)).form == (5, 0, 0, 1, 0, 0)
+    assert Line(FieldCtx(5), (-r5, -1, 0)) == Line(FieldCtx(5), (r5, 1, 0))
+    bad = Line(RATIONAL, (1, 2, 3))
+    object.__setattr__(bad, "form", (-1, 0, -2, 0, -3, 0))
+    with pytest.raises(GeometryError):
+        bad.coeffs
+    with pytest.raises(GeometryError):
+        bad.sort_key()

@@ -28,6 +28,7 @@ from freearr.search import (
     SearchError,
     _addition_candidates,
     _generic_representative,
+    _pencil_representative,
     free_additions,
     free_deletions,
     is_inductively_free,
@@ -223,6 +224,41 @@ PENCIL_INPUTS = {
 }
 
 
+def _oracle_addition_candidates(A, lat):
+    """The former candidate scan: every pair of flat points joined, A's lines popped."""
+    candidates = {}
+    pts = [fp.point for fp in lat.points]
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            on = candidates.setdefault(join(pts[i], pts[j]), set())
+            on.add(i)
+            on.add(j)
+    for line in A:
+        candidates.pop(line, None)
+    if not A.ctx.parametric:
+        taken = set(candidates).union(A.lines)
+        for k, P in enumerate(pts):
+            candidates.setdefault(_pencil_representative(P, taken), {k})
+        if len(A) >= 1 and pts:
+            candidates.setdefault(_generic_representative(A, lat), set())
+    return candidates
+
+
+def _moves(build, limit=3):
+    """The first free additions to ``build()`` and its first free deletions."""
+    A = build()
+    adds = [lambda L=L: A.add(L) for L in free_additions(A)[:limit]]
+    dels = [lambda h=h: A.delete(h) for h, _ in free_deletions(A)[:limit]]
+    return adds + dels
+
+
+MOVE_INPUTS = dict(PENCIL_INPUTS)
+MOVE_INPUTS["braid_with_moving_line"] = braid_with_moving_line
+for _name in ("dual_hesse", "pentagonal", "g443", "eleven_if"):
+    for _k, _build in enumerate(_moves(PENCIL_INPUTS[_name])):
+        MOVE_INPUTS[f"{_name} move {_k}"] = _build
+
+
 class TestCountBasedAdditions:
     """free_additions decides candidates from counts; check it against lattices."""
 
@@ -255,6 +291,15 @@ class TestCountBasedAdditions:
         assert len(reps) == len(lat.points)
         for k, fp in enumerate(lat.points):
             assert reps[k] == _oracle_pencil_representative(A, lat, fp.point), k
+
+    @pytest.mark.parametrize("name", MOVE_INPUTS)
+    def test_disjoint_pairs_match_all_pairs_oracle(self, name):
+        """Joining only flat points on no common line gives the same dict, in order."""
+        A = MOVE_INPUTS[name]()
+        lat = compute_lattice(A)
+        fast = _addition_candidates(A, lat)
+        assert list(fast.items()) == list(_oracle_addition_candidates(A, lat).items())
+        assert not any(line in fast for line in A)
 
     def test_parametric_scans_joins_only(self):
         A = braid_with_moving_line()
