@@ -17,12 +17,14 @@ infinity line z = 0 is appended).
 
 from __future__ import annotations
 
+import ast
+import math
 import re
 from fractions import Fraction
 from typing import Union
 
 from .geometry import Arrangement, Line, cone
-from .scalar import FieldCtx, Poly, QuadElem, RatFn, Scalar, squarefree_decompose
+from .scalar import RATIONAL, FieldCtx, Poly, QuadElem, RatFn, Scalar, sqrt_rational
 
 __all__ = [
     "ArrIOError",
@@ -38,8 +40,10 @@ __all__ = [
 
 MAX_PARAM_CHARS = 200
 MAX_LINES = 64  # lines in one arrangement file
-MAX_RADICAND = 10**12  # squarefree_decompose trial-divides up to its square root
+MAX_RADICAND = 10**12  # squarefree_decompose trial-divides up to its cube root
 _PARAM_TEXT = re.compile(r"(?:[0-9.+\-*/()\s]|sqrt|I)*")
+_NUMBER = re.compile(r"\d+\.?\d*|\.\d+")
+_OPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
 
 
 class ArrIOError(ValueError):
@@ -61,7 +65,8 @@ def encode_scalar(x: Scalar) -> Union[str, dict]:
 
 
 def _decode_fraction(s: object) -> Fraction:
-    if isinstance(s, str):
+    # Fraction("1e999999999") builds the whole integer; the encoder writes no exponent
+    if isinstance(s, str) and "e" not in s.lower():
         try:
             return Fraction(s)
         except (ValueError, ZeroDivisionError) as e:
@@ -149,72 +154,71 @@ def encode_arrangement(A: Arrangement) -> dict:
 def parse_param(text: str) -> QuadElem:
     """Parse a parameter value like "3", "-1/2", "sqrt(-1)", "(1+sqrt(5))/2".
 
-    The value must lie in Q or a quadratic extension Q(sqrt(d)).  The text
-    may hold only digits, ``.``, ``+ - * / ( )``, whitespace, ``sqrt`` and
-    ``I``, with no power operator, no ``sqrt`` inside another ``sqrt``
-    argument and at most ``MAX_PARAM_CHARS`` characters; anything else is
-    rejected before sympy sees it.
+    ``ast.parse`` only parses the text; its tree is evaluated exactly.  The
+    grammar: decimal numbers, unary ``+ -``, binary ``+ - * /``, parentheses,
+    ``I`` and ``sqrt(x)`` of a rational x with no ``sqrt`` inside x.  The value
+    must lie in Q or one Q(sqrt(d)): a sum over two quadratic fields is
+    rejected, a product or quotient of two pure roots is a pure root.
     """
     if len(text) > MAX_PARAM_CHARS:
         raise ArrIOError(f"parameter text longer than {MAX_PARAM_CHARS} characters")
-    if not _PARAM_TEXT.fullmatch(text) or re.search(r"\*\s*\*", text):
-        raise ArrIOError(
-            f"cannot parse parameter {text!r}: use digits, . + - * / ( ), sqrt(...) and I"
-        )
-    # sympy.nsimplify turns a deeply nested root such as 2^(1/2^25) into a
-    # rational approximation, so nested roots must not reach it
-    in_sqrt: list[bool] = []  # per open parenthesis: whether it lies in a sqrt argument
-    for tok in re.findall(r"sqrt\s*\(|[()]", text):
-        if tok == ")":
-            in_sqrt = in_sqrt[:-1]
-            continue
-        nested = bool(in_sqrt) and in_sqrt[-1]
-        if nested and tok != "(":
-            raise ArrIOError(f"parameter {text!r} nests sqrt inside sqrt")
-        in_sqrt.append(nested or tok != "(")
-    import sympy
-
+    src = text.strip()  # ast.parse rejects leading blanks as an indent
+    bad = f"cannot parse parameter {text!r}: use digits, . + - * / ( ), sqrt(...) and I"
+    if not _PARAM_TEXT.fullmatch(src):
+        raise ArrIOError(bad)
     try:
-        expr = sympy.nsimplify(sympy.sympify(text, rational=True))
-        expr = sympy.expand(expr)
-    except (sympy.SympifyError, SyntaxError, TypeError) as e:
-        raise ArrIOError(f"cannot parse parameter {text!r}") from e
+        tree = ast.parse(src, mode="eval")
+    except SyntaxError as e:
+        raise ArrIOError(bad) from e
+    return _evaluate(tree.body, src, False)
 
-    a, b, rad = Fraction(0), Fraction(0), None
-    terms = expr.as_ordered_terms() if expr.is_Add else [expr]
-    for term in terms:
-        coeff, radicand, has_i = sympy.Rational(1), Fraction(1), False
-        for fac in term.as_ordered_factors():
-            if fac.is_Rational:
-                coeff *= fac
-            elif fac is sympy.I:
-                has_i = not has_i
-            elif (
-                fac.is_Pow
-                and fac.exp == sympy.Rational(1, 2)
-                and fac.base.is_Rational
-                and fac.base > 0
-            ):
-                radicand *= Fraction(fac.base.p, fac.base.q)
-            else:
-                raise ArrIOError(f"parameter {text!r} is not in a quadratic field")
-        # sqrt(p/q) = sqrt(p*q)/q; i*sqrt(p) = sqrt(-p)
-        c = Fraction(coeff.p, coeff.q) / radicand.denominator
-        n = radicand.numerator * radicand.denominator
-        if n > MAX_RADICAND:
-            raise ArrIOError(f"parameter {text!r} has a square root larger than {MAX_RADICAND}")
-        if has_i:
-            n = -n
-        s, d = squarefree_decompose(n)
-        c *= s
-        if d == 1:
-            a += c
-            continue
-        if rad is None:
-            rad = d
-        elif rad != d:
-            raise ArrIOError(f"parameter {text!r} mixes two square roots")
-        b += c
-    if rad is None or b == 0:
-        return QuadElem.of(FieldCtx(), a)
-    return QuadElem(FieldCtx(rad), a, b)
+
+def _evaluate(node: ast.AST, src: str, in_sqrt: bool) -> QuadElem:
+    """Value of a node of the parameter grammar, over RATIONAL when rational."""
+    if isinstance(node, ast.Constant) and _NUMBER.fullmatch(ast.get_source_segment(src, node)):
+        return QuadElem.of(RATIONAL, Fraction(ast.get_source_segment(src, node)))
+    if isinstance(node, ast.Name) and node.id == "I":
+        return QuadElem(FieldCtx(-1), 0, 1)
+    if isinstance(node, ast.UnaryOp) and type(node.op) in (ast.UAdd, ast.USub):
+        x = _evaluate(node.operand, src, in_sqrt)
+        return -x if isinstance(node.op, ast.USub) else x
+    if isinstance(node, ast.BinOp) and type(node.op) in _OPS:
+        x, y = _evaluate(node.left, src, in_sqrt), _evaluate(node.right, src, in_sqrt)
+        return _apply(_OPS[type(node.op)], x, y, src)
+    call = isinstance(node, ast.Call) and getattr(node.func, "id", "") == "sqrt"
+    if not call or len(node.args) != 1 or node.keywords:
+        raise ArrIOError(f"cannot parse parameter {src!r}")
+    if in_sqrt:
+        raise ArrIOError(f"parameter {src!r} nests sqrt inside sqrt")
+    r = _evaluate(node.args[0], src, True)
+    p, q, n = r.as_ints()
+    if q:
+        raise ArrIOError(f"parameter {src!r} is not in a quadratic field")
+    if abs(p * n) > MAX_RADICAND:  # sqrt(p/n) = sqrt(p*n)/n
+        raise ArrIOError(f"parameter {src!r} has a square root larger than {MAX_RADICAND}")
+    return sqrt_rational(1, r.a)  # disc 1: Q(sqrt(d)) for the radicand's d, or Q
+
+
+def _apply(op: str, x: QuadElem, y: QuadElem, src: str) -> QuadElem:
+    """x op y, with a rational operand taken into the other's field."""
+    if op == "/":
+        if y.is_zero():
+            raise ArrIOError(f"parameter {src!r} divides by zero")
+        y, op = y.inverse(), "*"
+    if x.is_rational():
+        x = QuadElem.of(y.ctx, x.a)
+    elif y.is_rational():
+        y = QuadElem.of(x.ctx, y.a)
+    elif x.ctx != y.ctx:
+        if op != "*" or x.a or y.a:
+            raise ArrIOError(f"parameter {src!r} mixes two square roots")
+        # sqrt(d1)*sqrt(d2) = g*sqrt(d1*d2/g^2) for squarefree d1, d2 and
+        # g = gcd(d1, d2), negated when both roots are imaginary
+        d1, d2 = x.ctx.disc, y.ctx.disc
+        g = math.gcd(d1, d2)
+        d = d1 * d2 // (g * g)
+        if abs(d) > MAX_RADICAND:  # FieldCtx(d) trial-divides up to sqrt(|d|)
+            raise ArrIOError(f"parameter {src!r} has a square root larger than {MAX_RADICAND}")
+        return QuadElem(FieldCtx(d), 0, x.b * y.b * (-g if d1 < 0 and d2 < 0 else g))
+    z = x + y if op == "+" else x - y if op == "-" else x * y
+    return QuadElem.of(RATIONAL, z.a) if z.is_rational() else z

@@ -199,8 +199,7 @@ class ExponentPair:
     @property
     def witness(self) -> Optional[Derivation2]:
         if self._witness is None and self._source is not None:
-            M, d = self._source, self.e1
-            object.__setattr__(self, "_witness", _derivation_at(M, d, _system(M, d)))
+            object.__setattr__(self, "_witness", _derivation_at(self._source, self.e1))
         return self._witness
 
     def __iter__(self):
@@ -472,38 +471,35 @@ def _kernel_vector_parametric(
     return vec
 
 
-def _full_rank_at_specialization(
-    ctx: FieldCtx, rows: list[list[Scalar]], ncols: int
-) -> Optional[QuadElem]:
-    """A parameter value c at which the system has full column rank, or None.
+def _specialisation(M: MultiArr2) -> Optional[tuple[QuadElem, list[tuple[Scalar, Scalar]]]]:
+    """The first c of 17, 23, 101, 1009 where no form has a pole, with the
+    forms specialised at t = c; None if every candidate is a pole.
 
-    Full rank at t = c certifies full rank over the function field: a nonzero
-    specialised maximal minor is a nonzero generic minor.  None (a rank drop
-    at the first value where every entry is defined) is inconclusive.
+    Full column rank of the specialised degree-d system certifies full rank
+    over the function field: a nonzero specialised maximal minor is a
+    nonzero generic minor.  After normalisation each p is 0 or 1, so only
+    the q can have a pole.
     """
-    if len(rows) < ncols:
-        return None
-    base = ctx.base()
+    base = M.ctx.base()
     for cand in (17, 23, 101, 1009):
-        x = QuadElem.of(base, cand)
-        try:
-            spec = [[entry.eval(x) for entry in row] for row in rows]
-        except ZeroDivisionError:
-            continue
-        return x if _kernel_vector(base, spec, ncols) is None else None
+        c = QuadElem.of(base, cand)
+        if all(q.den.eval(c) for _, q in M.forms):
+            return c, [(p.eval(c), q.eval(c)) for p, q in M.forms]
     return None
 
 
-def _system(M: MultiArr2, d: int) -> list[list[Scalar]]:
+def _system(
+    ctx: FieldCtx, forms: Sequence[tuple[Scalar, Scalar]], mult: Sequence[int], d: int
+) -> list[list[Scalar]]:
     """Rows (a_0..a_d, b_0..b_d) of every divisibility condition at degree d."""
     rows: list[list[Scalar]] = []
-    for (p, q), m in zip(M.forms, M.mult):
-        for arow, brow in _divisibility_rows(M.ctx, p, q, m, d):
+    for (p, q), m in zip(forms, mult):
+        for arow, brow in _divisibility_rows(ctx, p, q, m, d):
             rows.append(arow + brow)
     return rows
 
 
-def _derivation_at(M: MultiArr2, d: int, rows: list[list[Scalar]]) -> Optional[Derivation2]:
+def _derivation_at(M: MultiArr2, d: int) -> Optional[Derivation2]:
     """A nonzero derivation of degree d by exact elimination, or None.
 
     The solution is re-verified against every divisibility constraint by
@@ -511,7 +507,7 @@ def _derivation_at(M: MultiArr2, d: int, rows: list[list[Scalar]]) -> Optional[D
     """
     ctx = M.ctx
     solve = _kernel_vector_parametric if ctx.parametric else _kernel_vector
-    vec = solve(ctx, rows, 2 * (d + 1))
+    vec = solve(ctx, _system(ctx, M.forms, M.mult, d), 2 * (d + 1))
     if vec is None:
         return None
     theta = Derivation2(tuple(vec[: d + 1]), tuple(vec[d + 1 :]))
@@ -525,24 +521,23 @@ def multi_exponents(M: MultiArr2) -> ExponentPair:
     """Exponents (e1, e2): e1 is the least degree with a nonzero derivation.
 
     A rank-2 multiarrangement is free (Ziegler), so e1 <= total // 2 and only
-    the degrees below total // 2 are searched.  Over a function field each
-    degree is first tried at a specialisation t = c; full rank there rules
-    out a kernel, and the pair (d, c) goes into the certificate.  A rank drop
-    falls back to symbolic elimination.  A kernel found below total // 2 is
-    the witness; otherwise e1 = total // 2 and the witness is solved for only
-    when it is read.
+    the degrees below total // 2 are searched.  Over a function field the
+    forms are specialised once at t = c and each degree is first tried
+    there; full rank rules out a kernel, and the pair (d, c) goes into the
+    certificate.  A rank drop falls back to symbolic elimination.  A kernel
+    found below total // 2 is the witness; otherwise e1 = total // 2 and the
+    witness is solved for only when it is read.
     """
-    ctx = M.ctx
     total = M.total
+    spec = _specialisation(M) if M.ctx.parametric else None
     certificate = []
     for d in range(total // 2):
-        rows = _system(M, d)
-        if ctx.parametric:
-            c = _full_rank_at_specialization(ctx, rows, 2 * (d + 1))
-            if c is not None:
+        if spec is not None:
+            c, forms = spec
+            if _kernel_vector(c.ctx, _system(c.ctx, forms, M.mult, d), 2 * (d + 1)) is None:
                 certificate.append((d, c))
                 continue
-        theta = _derivation_at(M, d, rows)
+        theta = _derivation_at(M, d)
         if theta is not None:
             return ExponentPair(d, total - d, tuple(certificate), M, theta)
     e1 = total // 2

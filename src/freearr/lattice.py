@@ -55,7 +55,7 @@ class LatticeData:
 
     Attributes:
         nlines: number of lines.
-        points: FlatPoints in canonical point order.
+        points: FlatPoints in canonical point order (the builders order them).
         mu_total: sum of mu over all points.
         profile: F(A) = [F1, F2, ...] trimmed to the last nonzero entry.
         n_by_line: n_{A,H} for each line index.
@@ -72,9 +72,8 @@ class LatticeData:
     )
 
     def __init__(self, nlines: int, points: Sequence[FlatPoint]) -> None:
-        pts = [points[i] for i in key_order([fp.point for fp in points])]
         self.nlines = nlines
-        self.points = tuple(pts)
+        self.points = pts = tuple(points)
         self.mu_total = sum(fp.mu for fp in pts)
         prof: list[int] = []
         per_line_counts: list[dict[int, int]] = [dict() for _ in range(nlines)]
@@ -142,9 +141,14 @@ def compute_lattice(A: Arrangement) -> LatticeData:
             else:
                 e[1].add(i)
                 e[1].add(j)
-    return LatticeData(
-        n, [FlatPoint(p, tuple(sorted(s))) for p, s in by_form.values()]
-    )
+    return _from_meets(n, by_form)
+
+
+def _from_meets(nlines: int, by_form: dict[tuple, tuple[Point, set[int]]]) -> LatticeData:
+    """LatticeData of the meets grouped by form, with the points in canonical order."""
+    found = list(by_form.values())
+    order = key_order([p for p, _ in found])
+    return LatticeData(nlines, [FlatPoint(found[k][0], tuple(sorted(found[k][1]))) for k in order])
 
 
 def extend_lattice(lat: LatticeData, A: Arrangement, line: Line) -> LatticeData:
@@ -161,9 +165,7 @@ def extend_lattice(lat: LatticeData, A: Arrangement, line: Line) -> LatticeData:
         else:
             e[1].add(i)
             e[1].add(n)
-    return LatticeData(
-        n + 1, [FlatPoint(p, tuple(sorted(s))) for p, s in by_form.values()]
-    )
+    return _from_meets(n + 1, by_form)
 
 
 def addition_counts(lat: LatticeData, on: Sequence[int]) -> IncidenceCounts:
@@ -188,7 +190,7 @@ def addition_counts(lat: LatticeData, on: Sequence[int]) -> IncidenceCounts:
 
 
 def restrict_lattice(lat: LatticeData, index: int) -> LatticeData:
-    """Lattice after deleting the line at ``index`` (purely combinatorial)."""
+    """Lattice after deleting the line at ``index`` (combinatorial; keeps the point order)."""
     pts = []
     for fp in lat.points:
         inc = [i if i < index else i - 1 for i in fp.incident if i != index]

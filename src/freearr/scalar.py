@@ -36,7 +36,11 @@ class FieldMismatchError(ValueError):
 
 
 def squarefree_decompose(n: int) -> tuple[int, int]:
-    """Write ``n = s*s*d`` with ``d`` squarefree and ``s > 0``; return ``(s, d)``."""
+    """Write ``n = s*s*d`` with ``d`` squarefree and ``s > 0``; return ``(s, d)``.
+
+    Trial division stops once p**3 > m: then m, free of primes below p, has
+    at most two prime factors, so it is a square or squarefree.
+    """
     if n == 0:
         return 1, 0
     sign = -1 if n < 0 else 1
@@ -44,7 +48,7 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     s = 1
     d = 1
     p = 2
-    while p * p <= m:
+    while p * p * p <= m:
         if m % p == 0:
             e = 0
             while m % p == 0:
@@ -54,8 +58,8 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
             if e % 2:
                 d *= p
         p += 1 if p == 2 else 2
-    d *= m
-    return s, sign * d
+    r = math.isqrt(m)
+    return (s * r, sign * d) if r * r == m else (s, sign * d * m)
 
 
 @dataclass(frozen=True)
@@ -828,11 +832,9 @@ def sqrt_rational(ctx_or_disc: Union[FieldCtx, int], n: Union[int, Fraction]) ->
     FieldCtx.
     """
     n = Fraction(n)
-    s_num, d_num = squarefree_decompose(n.numerator)
-    s_den, d_den = squarefree_decompose(n.denominator)
-    # sqrt(p/q) = (s_num/s_den) * sqrt(d_num*d_den) / d_den
-    sd, d = squarefree_decompose(d_num * d_den)
-    coef = Fraction(s_num * sd, s_den * d_den)
+    # sqrt(p/q) = sqrt(p*q)/q = (s/q)*sqrt(d) for p*q = s*s*d
+    s, d = squarefree_decompose(n.numerator * n.denominator)
+    coef = Fraction(s, n.denominator)
     if isinstance(ctx_or_disc, FieldCtx):
         ctx = ctx_or_disc.base()
     elif d not in (0, 1):
@@ -915,13 +917,9 @@ def roots_low_degree(p: Poly) -> RootReport:
             leading *= fc[1] ** mult
         elif deg == 2:
             a, b, c2 = fc[2], fc[1], fc[0]
-            disc_val = b * b - 4 * a * c2
-            s_num, d_num = squarefree_decompose(disc_val.numerator)
-            s_den, d_den = squarefree_decompose(disc_val.denominator)
-            sd, d = squarefree_decompose(d_num * d_den)
-            # sqrt(disc_val) = (s_num*s_den*sd/denominator) * sqrt(d)
-            sqrt_disc_coef = Fraction(s_num * s_den * sd, disc_val.denominator)
-            pair = QuadraticRootPair(d, -b / (2 * a), sqrt_disc_coef / (2 * a))
+            # the discriminant of an irreducible quadratic is not a square
+            root = sqrt_rational(1, b * b - 4 * a * c2)
+            pair = QuadraticRootPair(root.ctx.disc, -b / (2 * a), root.b / (2 * a))
             quadratics.append((pair, mult))
             leading *= a**mult
         else:

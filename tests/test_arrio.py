@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import random
 import time
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from freearr.arrio import (
     ArrIOError,
@@ -15,6 +17,7 @@ from freearr.arrio import (
     encode_scalar,
     parse_param,
 )
+from freearr.cli import main
 from freearr.geometry import Arrangement
 from freearr.scalar import RATIONAL, FieldCtx, QuadElem
 
@@ -54,6 +57,16 @@ class TestScalarEncoding:
             decode_scalar(RATIONAL, {"a": "1", "b": "1"})  # no sqrt in field
         with pytest.raises(ArrIOError):
             decode_scalar(RATIONAL, {"num": ["1"], "den": ["1"]})  # not parametric
+
+    @pytest.mark.parametrize("text", ["1e10000000", "1E10000000", "-2.5e3"])
+    def test_exponent_rejected_fast(self, text):
+        # Fraction("1e10000000") takes seconds and builds a 4 MB integer
+        start = time.perf_counter()
+        with pytest.raises(ArrIOError, match="bad rational"):
+            decode_scalar(RATIONAL, text)
+        with pytest.raises(ArrIOError, match="bad rational"):
+            decode_arrangement({"lines": [[text, "1", "0"], ["0", "1", "0"]]})
+        assert time.perf_counter() - start < 1.0
 
 
 class TestArrangementEncoding:
@@ -173,3 +186,104 @@ class TestParseParam:
         with pytest.raises(ArrIOError):
             parse_param("sqrt(1000000000000000000000000000057)")
         assert time.perf_counter() - start < 1.0
+
+
+def _corpus(seed, count):
+    """Seeded grammar strings over one radicand, with no zero divisor.
+
+    Each string comes with its value built in sympy from the same tree (not
+    by reading the text), so sympy is an independent oracle.
+    """
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        d = rng.choice([2, 3, 5, 6, -1, -3, -7])
+
+        def atom():
+            kind = rng.randrange(5)
+            if kind == 0:
+                n = rng.randint(0, 30)
+                return str(n), sympy.Integer(n)
+            if kind == 1:
+                n, m = rng.randint(0, 9), rng.randint(1, 99)
+                return f"{n}.{m:02d}", sympy.Rational(100 * n + m, 100)
+            if kind == 2 and d == -1 and rng.random() < 0.5:
+                return "I", sympy.I
+            # sqrt(d*s^2/r^2) = (s/r)*sqrt(d); the radicand may be a quotient
+            s, r = rng.randint(1, 4), rng.choice([1, 1, 2, 3])
+            arg = f"{d * s * s}" if r == 1 else f"{d * s * s}/{r * r}"
+            return f"sqrt({arg})", sympy.sqrt(sympy.Rational(d * s * s, r * r))
+
+        def expr(depth):
+            if depth == 0 or rng.random() < 0.3:
+                return atom()
+            if rng.random() < 0.15:
+                text, val = expr(depth - 1)
+                return f"-({text})", -val
+            op = rng.choice("+-*/")
+            lt, lv = expr(depth - 1)
+            rt, rv = expr(depth - 1)
+            if op == "/":
+                if sympy.expand(sympy.radsimp(rv)) == 0:
+                    rt, rv = "7", sympy.Integer(7)
+                return f"({lt})/({rt})", lv / rv
+            return f"({lt}){op}({rt})", {"+": lv + rv, "-": lv - rv, "*": lv * rv}[op]
+
+        text, val = expr(3)
+        if len(text) <= 200:
+            out.append((text, val))
+    return out
+
+
+class TestParserCorpus:
+    """parse_param against sympy on seeded strings of the grammar."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_sympy(self, seed):
+        for text, expected in _corpus(seed, 30):
+            x = parse_param(text)
+            got = sympy.Rational(x.a.numerator, x.a.denominator)
+            if x.ctx.disc is not None:
+                got += sympy.Rational(x.b.numerator, x.b.denominator) * sympy.sqrt(x.ctx.disc)
+            assert sympy.expand(sympy.radsimp(expected - got)) == 0, text
+
+
+class TestParserRegressions:
+    def test_zero_divisor_exits_2(self, capsys):
+        with pytest.raises(ArrIOError, match="divides by zero"):
+            parse_param("2+1/(1/0)")
+        assert main(["charpoly", "catalog:family13?lambda=2+1/(1/0)"]) == 2
+
+    def test_quotient_over_root(self):
+        x = parse_param("8/(5/4-sqrt(8))")
+        assert (x.ctx.disc, x.a, x.b) == (2, Fraction(-160, 103), Fraction(-256, 103))
+
+    @pytest.mark.parametrize("text", ["1 # c", "1e5", "0x10", "1_0", "1j", "...", "sqrt(2, 3)"])
+    def test_outside_grammar_exits_2(self, capsys, text):
+        with pytest.raises(ArrIOError):
+            parse_param(text)
+        assert main(["catalog", "get", "family13", "--param", text]) == 2
+
+    def test_products_of_pure_roots(self):
+        x = parse_param("I*sqrt(2)")
+        assert (x.ctx.disc, x.a, x.b) == (-2, 0, 1)
+        y = parse_param("sqrt(2)*sqrt(3)")
+        assert (y.ctx.disc, y.a, y.b) == (6, 0, 1)
+        z = parse_param("sqrt(-2)*sqrt(-3)")
+        assert (z.ctx.disc, z.a, z.b) == (6, 0, -1)
+
+    def test_sum_cancelling_only_after_a_product_is_rejected(self):
+        with pytest.raises(ArrIOError, match="mixes two square roots"):
+            parse_param("(sqrt(2)+sqrt(3))*(sqrt(2)-sqrt(3))")
+
+    def test_many_large_roots_parse_fast(self):
+        # each sqrt of a 12-digit prime factors its radicand and builds its field
+        start = time.perf_counter()
+        x = parse_param("+".join(["sqrt(999999999989)"] * 10))
+        assert (x.ctx.disc, x.a, x.b) == (999999999989, 0, 10)
+        assert time.perf_counter() - start < 1.0
+
+    def test_product_radicand_bounded(self):
+        # each radicand is within the bound, their product is not
+        with pytest.raises(ArrIOError, match="larger than"):
+            parse_param("sqrt(1000003)*sqrt(1000033)")

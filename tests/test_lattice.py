@@ -325,6 +325,9 @@ class TestIncremental:
             assert dec.profile == fresh.profile
             assert dec.mu_total == fresh.mu_total
             assert dec.n_by_line == fresh.n_by_line
+            assert [(fp.point, fp.incident) for fp in dec.points] == [
+                (fp.point, fp.incident) for fp in fresh.points
+            ]
 
 
 class TestCharPoly:

@@ -8,6 +8,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 import pytest
+import sympy
 
 from freearr.scalar import (
     RATIONAL,
@@ -706,6 +707,23 @@ class TestSquarefreeDecompose:
         assert squarefree_decompose(1) == (1, 1)
         assert squarefree_decompose(0) == (1, 0)
         assert squarefree_decompose(45) == (3, 5)
+
+    def test_against_factorint(self):
+        # trial division stops at the cube root; the cofactor left is a prime,
+        # a product of two primes or a prime square
+        rng = random.Random(7)
+        primes = [2, 3, 101, 9973, 10007, 999983, 1000003]
+        cases = [p * q for p in primes for q in primes] + [p**3 for p in primes[:5]]
+        cases += [999999999989 * k for k in (1, 2, 4, 9)]
+        cases += [rng.randint(-(10**12), 10**12) for _ in range(200)]
+        for n in cases:
+            if n == 0:
+                continue
+            s, d = 1, -1 if n < 0 else 1
+            for p, e in sympy.factorint(abs(n)).items():
+                s *= p ** (e // 2)
+                d *= p ** (e % 2)
+            assert squarefree_decompose(n) == (s, d), n
 
 
 class TestRootsLowDegree:
