@@ -40,6 +40,9 @@ CASES = {
     "catalog_get_pentagonal_svg": ["catalog", "get", "pentagonal", "--svg"],
     "scan_family13": ["scan-family", "family13", "--samples", "2,5"],
     "scan_family15": ["scan-family", "family15", "--samples", "2", "--symbolic"],
+    # symbolic families over Q(t): the only output with a derivation_e1 over Q(t)
+    "freeness_family13_symbolic": ["freeness", str(GOLDEN / "family13_symbolic.json")],
+    "freeness_family15_symbolic": ["freeness", str(GOLDEN / "family15_symbolic.json")],
 }
 
 
