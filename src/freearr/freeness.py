@@ -12,6 +12,8 @@ solving the divisibility constraints alpha^m | theta(alpha) as linear systems
 over the scalar field (which may be a quadratic extension or a rational
 function field).  Only the degrees below total/2 are searched; over a
 function field full rank at one specialisation t = c settles a degree.
+One eliminator, forward elimination with back substitution, solves every
+system; over a function field each row is first cleared of denominators.
 """
 
 from __future__ import annotations
@@ -333,38 +335,47 @@ def ziegler_restriction(A: Arrangement, h: int) -> MultiArr2:
 
 
 def _kernel_vector(ctx: FieldCtx, rows: list[list[Scalar]], ncols: int) -> Optional[list[Scalar]]:
-    """One nonzero kernel vector of the row system, or None if full rank."""
+    """One nonzero kernel vector of the row system, or None if full rank.
+
+    Forward elimination below each pivot, the first row with a nonzero entry
+    in its column, then back substitution with the first free column set to
+    1 and the other free columns to 0.  Given the pivot columns this vector
+    is unique, so scaling a row does not change it.
+    """
     mat = [list(r) for r in rows]
-    pivots: list[tuple[int, int]] = []  # (row, col)
-    r = 0
+    pivots: list[int] = []  # pivot column of row r
     for col in range(ncols):
-        piv = None
-        for i in range(r, len(mat)):
-            if not mat[i][col].is_zero():
-                piv = i
-                break
+        r = len(pivots)
+        if r == len(mat):
+            break
+        piv = next((i for i in range(r, len(mat)) if not mat[i][col].is_zero()), None)
         if piv is None:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
-        inv = mat[r][col].inverse()
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and not mat[i][col].is_zero():
-                f = mat[i][col]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append((r, col))
-        r += 1
-        if r == len(mat):
-            break
-    pivot_cols = {c for _, c in pivots}
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
+        # entries left of a row's pivot are never read again, so only the
+        # columns after ``col`` are updated
+        top = mat[r]
+        inv = top[col].inverse()
+        tail = [k for k in range(col + 1, ncols) if not top[k].is_zero()]
+        for row in mat[r + 1 :]:
+            if row[col].is_zero():
+                continue
+            f = row[col] * inv
+            for k in tail:
+                row[k] = row[k] - f * top[k]
+        pivots.append(col)
+    free_cols = sorted(set(range(ncols)) - set(pivots))
     if not free_cols:
         return None
-    fc = free_cols[0]
     vec = [ctx.zero()] * ncols
-    vec[fc] = ctx.one()
-    for rr, cc in pivots:
-        vec[cc] = -mat[rr][fc]
+    vec[free_cols[0]] = ctx.one()
+    for r in range(len(pivots) - 1, -1, -1):
+        row, col = mat[r], pivots[r]
+        acc = ctx.zero()
+        for k in range(col + 1, ncols):
+            if not row[k].is_zero() and not vec[k].is_zero():
+                acc = acc + row[k] * vec[k]
+        vec[col] = -acc / row[col]
     return vec
 
 
@@ -407,70 +418,6 @@ def _divisibility_rows(
     return rows
 
 
-def _kernel_vector_parametric(
-    ctx: FieldCtx, rows: list[list[Scalar]], ncols: int
-) -> Optional[list[Scalar]]:
-    """Kernel vector over Q(sqrt(d))(t) via fraction-free (Bareiss) elimination.
-
-    Avoids the gcd-normalization cost of naive elimination on rational
-    functions by clearing denominators and keeping all intermediate entries
-    polynomial, with exact divisions only.
-    """
-    pmat: list[list[Poly]] = []
-    for row in rows:
-        den = Poly.one(ctx)
-        for e in row:
-            if e.den.degree > 0:
-                den = den * (e.den // e.den.gcd(den))
-        pmat.append([(e * ctx.scalar(den)).num for e in row])
-    pivots: list[tuple[int, int]] = []
-    prev = Poly.one(ctx)
-    r = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(r, len(pmat)):
-            if not pmat[i][col].is_zero():
-                piv = i
-                break
-        if piv is None:
-            continue
-        pmat[r], pmat[piv] = pmat[piv], pmat[r]
-        pk = pmat[r][col]
-        trivial_prev = prev.degree == 0 and prev.coeffs[0] == 1
-        for i in range(r + 1, len(pmat)):
-            ric = pmat[i][col]
-            new_row = []
-            for x, y in zip(pmat[i], pmat[r]):
-                val = pk * x - ric * y
-                if not trivial_prev:
-                    val = val // prev
-                new_row.append(val)
-            pmat[i] = new_row
-        pivots.append((r, col))
-        prev = pk
-        r += 1
-        if r == len(pmat):
-            break
-    pivot_cols = [c for _, c in pivots]
-    free_cols = [c for c in range(ncols) if c not in set(pivot_cols)]
-    if not free_cols:
-        return None
-    fc = free_cols[0]
-    # back-substitute on the echelon rows over the rational-function field
-    vec: list[Scalar] = [ctx.zero()] * ncols
-    vec[fc] = ctx.one()
-    for j in range(len(pivots) - 1, -1, -1):
-        rr, cc = pivots[j]
-        acc = ctx.zero()
-        for col in range(cc + 1, ncols):
-            entry = pmat[rr][col]
-            if entry.is_zero() or vec[col].is_zero():
-                continue
-            acc = acc + ctx.scalar(entry) * vec[col]
-        vec[cc] = -acc / ctx.scalar(pmat[rr][cc])
-    return vec
-
-
 def _specialisation(M: MultiArr2) -> Optional[tuple[QuadElem, list[tuple[Scalar, Scalar]]]]:
     """The first c of 17, 23, 101, 1009 where no form has a pole, with the
     forms specialised at t = c; None if every candidate is a pole.
@@ -499,15 +446,33 @@ def _system(
     return rows
 
 
+def _cleared(ctx: FieldCtx, row: list[Scalar]) -> list[Scalar]:
+    """A rational-function row times the lcm of its entries' denominators."""
+    den = Poly.one(ctx)
+    for e in row:
+        if e.den.degree > 0:
+            den = den * (e.den // e.den.gcd(den))
+    if den.degree == 0:
+        return row
+    scale = ctx.scalar(den)
+    return [e * scale for e in row]
+
+
 def _derivation_at(M: MultiArr2, d: int) -> Optional[Derivation2]:
     """A nonzero derivation of degree d by exact elimination, or None.
 
-    The solution is re-verified against every divisibility constraint by
-    actual polynomial division.
+    One eliminator, ``_kernel_vector``, serves every field.  Over
+    Q(sqrt(d))(t) each row is first multiplied by the lcm of its
+    denominators: the kernel is unchanged, and polynomial rows keep the
+    rational functions met during elimination small.  The solution is
+    re-verified against every divisibility constraint by actual polynomial
+    division.
     """
     ctx = M.ctx
-    solve = _kernel_vector_parametric if ctx.parametric else _kernel_vector
-    vec = solve(ctx, _system(ctx, M.forms, M.mult, d), 2 * (d + 1))
+    rows = _system(ctx, M.forms, M.mult, d)
+    if ctx.parametric:
+        rows = [_cleared(ctx, row) for row in rows]
+    vec = _kernel_vector(ctx, rows, 2 * (d + 1))
     if vec is None:
         return None
     theta = Derivation2(tuple(vec[: d + 1]), tuple(vec[d + 1 :]))

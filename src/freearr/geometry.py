@@ -244,9 +244,6 @@ class Point(_ProjTriple):
     def coords(self) -> tuple[Scalar, ...]:
         return self.coeffs
 
-    def at_infinity(self) -> bool:
-        return self.coeffs[2].is_zero()
-
 
 def key_order(ts: Sequence[_ProjTriple]) -> list[int]:
     """Indices of ``ts``, distinct triples over one field, in ``sort_key`` order.

@@ -483,9 +483,6 @@ class Poly:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
-
     # -- arithmetic ---------------------------------------------------------
 
     def _check(self, other: "Poly") -> None:
@@ -678,9 +675,6 @@ class RatFn:
 
     def __bool__(self) -> bool:
         return not self.is_zero()
-
-    def is_constant(self) -> bool:
-        return self.num.is_constant() and self.den.is_constant()
 
     # -- arithmetic ---------------------------------------------------------
 

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import json
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -101,6 +106,23 @@ class TestArrangementEncoding:
             decode_arrangement({"lines": [["1", "0", "0"], ["2", "0", "0"]]})
 
 
+UNSAFE_TEXTS = [
+    "__import__('os').getpid()*0+2",
+    "2**(2**40)",
+    "2* *(2* *40)",
+    "2^(2^40)",
+    "9" * 300,
+    "lambda: 0",
+]
+NESTED_LEVELS = [2, 15, 25, 30]
+# the parameter examples of README "Command line"
+README_PARAMS = ["3", "-1/2", "0.5", "sqrt(-1)", "I", "(1+sqrt(5))/2", "1/2+(-3/2)*sqrt(5)", "8/(5/4-sqrt(8))"]
+
+
+def _nested_sqrt(levels: int) -> str:
+    return "sqrt(" * levels + "2" + ")" * levels
+
+
 class TestParseParam:
     def test_rationals(self):
         assert parse_param("3").as_fraction() == 3
@@ -136,42 +158,53 @@ class TestParseParam:
         y = parse_param("(-1+sqrt(-3))/2")
         assert y.ctx.disc == -3 and (y * y + y + 1).is_zero()
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "__import__('os').getpid()*0+2",
-            "2**(2**40)",
-            "2* *(2* *40)",
-            "2^(2^40)",
-            "9" * 300,
-            "lambda: 0",
-        ],
-    )
-    def test_unsafe_text_never_reaches_sympy(self, text, monkeypatch):
-        import sympy
-
-        def sympify(*args, **kwargs):
-            raise AssertionError("rejected text reached sympy")
-
-        monkeypatch.setattr(sympy, "sympify", sympify)
+    @pytest.mark.parametrize("text", UNSAFE_TEXTS)
+    def test_unsafe_text_never_reaches_sympy(self, text):
         start = time.perf_counter()
         with pytest.raises(ArrIOError):
             parse_param(text)
         assert time.perf_counter() - start < 1.0
 
-    @pytest.mark.parametrize("levels", [2, 15, 25, 30])
-    def test_nested_sqrt_never_reaches_sympy(self, levels, monkeypatch):
-        # nsimplify turned 25 and 30 nested roots of 2 into exactly 1
-        import sympy
-
-        def sympify(*args, **kwargs):
-            raise AssertionError("rejected text reached sympy")
-
-        monkeypatch.setattr(sympy, "sympify", sympify)
+    @pytest.mark.parametrize("levels", NESTED_LEVELS)
+    def test_nested_sqrt_never_reaches_sympy(self, levels):
+        # sympy's nsimplify once turned 25 and 30 nested roots of 2 into 1
         start = time.perf_counter()
         with pytest.raises(ArrIOError, match="nests sqrt"):
-            parse_param("sqrt(" * levels + "2" + ")" * levels)
+            parse_param(_nested_sqrt(levels))
         assert time.perf_counter() - start < 1.0
+
+    def test_parser_imports_no_sympy(self):
+        # a fresh interpreter parses every text above, rejected and accepted,
+        # and then must hold no sympy module: this bites on any sympy use
+        script = (
+            "import json, sys\n"
+            "from freearr.arrio import ArrIOError, parse_param\n"
+            "cases = json.load(sys.stdin)\n"
+            "for text in cases['accepted']:\n"
+            "    parse_param(text)\n"
+            "for text in cases['rejected']:\n"
+            "    try:\n"
+            "        parse_param(text)\n"
+            "    except ArrIOError:\n"
+            "        continue\n"
+            "    sys.exit(f'accepted {text!r}')\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy')))\n"
+        )
+        rejected = UNSAFE_TEXTS + [_nested_sqrt(n) for n in NESTED_LEVELS]
+        cases = json.dumps({"accepted": README_PARAMS, "rejected": rejected})
+        src = Path(__file__).resolve().parents[1] / "src"
+        path = [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            input=cases,
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == []
 
     def test_nested_sqrt_found_through_parentheses(self):
         for text in ("1+sqrt(3*(1+sqrt(2)))", "sqrt (sqrt(4))", "(sqrt((sqrt(9))))"):

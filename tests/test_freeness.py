@@ -5,6 +5,7 @@ verification."""
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 from typing import Optional
 
@@ -43,6 +44,111 @@ def scalars(ctx, values):
     return tuple(ctx.scalar(v) for v in values)
 
 
+# Oracles: the two eliminators freeness used before its single forward
+# elimination, kept unchanged, Gauss-Jordan over Q(sqrt d) and Bareiss over
+# Q(sqrt d)(t).  No oracle in this file calls freeness._kernel_vector.
+
+
+def oracle_kernel_vector(ctx: FieldCtx, rows: list[list[Scalar]], ncols: int) -> Optional[list[Scalar]]:
+    """One nonzero kernel vector of the row system, or None if full rank."""
+    mat = [list(r) for r in rows]
+    pivots: list[tuple[int, int]] = []  # (row, col)
+    r = 0
+    for col in range(ncols):
+        piv = None
+        for i in range(r, len(mat)):
+            if not mat[i][col].is_zero():
+                piv = i
+                break
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        inv = mat[r][col].inverse()
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and not mat[i][col].is_zero():
+                f = mat[i][col]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivots.append((r, col))
+        r += 1
+        if r == len(mat):
+            break
+    pivot_cols = {c for _, c in pivots}
+    free_cols = [c for c in range(ncols) if c not in pivot_cols]
+    if not free_cols:
+        return None
+    fc = free_cols[0]
+    vec = [ctx.zero()] * ncols
+    vec[fc] = ctx.one()
+    for rr, cc in pivots:
+        vec[cc] = -mat[rr][fc]
+    return vec
+
+
+def oracle_kernel_vector_parametric(
+    ctx: FieldCtx, rows: list[list[Scalar]], ncols: int
+) -> Optional[list[Scalar]]:
+    """Kernel vector over Q(sqrt(d))(t) via fraction-free (Bareiss) elimination.
+
+    Avoids the gcd-normalization cost of naive elimination on rational
+    functions by clearing denominators and keeping all intermediate entries
+    polynomial, with exact divisions only.
+    """
+    pmat: list[list[Poly]] = []
+    for row in rows:
+        den = Poly.one(ctx)
+        for e in row:
+            if e.den.degree > 0:
+                den = den * (e.den // e.den.gcd(den))
+        pmat.append([(e * ctx.scalar(den)).num for e in row])
+    pivots: list[tuple[int, int]] = []
+    prev = Poly.one(ctx)
+    r = 0
+    for col in range(ncols):
+        piv = None
+        for i in range(r, len(pmat)):
+            if not pmat[i][col].is_zero():
+                piv = i
+                break
+        if piv is None:
+            continue
+        pmat[r], pmat[piv] = pmat[piv], pmat[r]
+        pk = pmat[r][col]
+        trivial_prev = prev.degree == 0 and prev.coeffs[0] == 1
+        for i in range(r + 1, len(pmat)):
+            ric = pmat[i][col]
+            new_row = []
+            for x, y in zip(pmat[i], pmat[r]):
+                val = pk * x - ric * y
+                if not trivial_prev:
+                    val = val // prev
+                new_row.append(val)
+            pmat[i] = new_row
+        pivots.append((r, col))
+        prev = pk
+        r += 1
+        if r == len(pmat):
+            break
+    pivot_cols = [c for _, c in pivots]
+    free_cols = [c for c in range(ncols) if c not in set(pivot_cols)]
+    if not free_cols:
+        return None
+    fc = free_cols[0]
+    # back-substitute on the echelon rows over the rational-function field
+    vec: list[Scalar] = [ctx.zero()] * ncols
+    vec[fc] = ctx.one()
+    for j in range(len(pivots) - 1, -1, -1):
+        rr, cc = pivots[j]
+        acc = ctx.zero()
+        for col in range(cc + 1, ncols):
+            entry = pmat[rr][col]
+            if entry.is_zero() or vec[col].is_zero():
+                continue
+            acc = acc + ctx.scalar(entry) * vec[col]
+        vec[cc] = -acc / ctx.scalar(pmat[rr][cc])
+    return vec
+
+
 def _full_rank_at_specialization(
     ctx: FieldCtx, rows: list[list[Scalar]], ncols: int
 ) -> Optional[QuadElem]:
@@ -61,7 +167,7 @@ def _full_rank_at_specialization(
             spec = [[entry.eval(x) for entry in row] for row in rows]
         except ZeroDivisionError:
             continue
-        return x if freeness._kernel_vector(base, spec, ncols) is None else None
+        return x if oracle_kernel_vector(base, spec, ncols) is None else None
     return None
 
 
@@ -82,9 +188,9 @@ def oracle_multi_exponents(M):
         if ctx.parametric and _full_rank_at_specialization(ctx, rows, 2 * (d + 1)):
             continue
         if ctx.parametric:
-            vec = freeness._kernel_vector_parametric(ctx, rows, 2 * (d + 1))
+            vec = oracle_kernel_vector_parametric(ctx, rows, 2 * (d + 1))
         else:
-            vec = freeness._kernel_vector(ctx, rows, 2 * (d + 1))
+            vec = oracle_kernel_vector(ctx, rows, 2 * (d + 1))
         if vec is not None:
             theta = Derivation2(tuple(vec[: d + 1]), tuple(vec[d + 1 :]))
             for (p, q), m in zip(M.forms, M.mult):
@@ -350,9 +456,10 @@ class TestDegreeLoopOracle:
 
     def test_symbolic_restrictions(self, symbolic_restrictions):
         for name, M in symbolic_restrictions.items():
-            e1, e2, _ = oracle_multi_exponents(M)
+            e1, e2, theta = oracle_multi_exponents(M)
             pair = multi_exponents(M)
             assert (pair.e1, pair.e2) == (e1, e2) == (M.total // 2, M.total // 2), name
+            assert pair.witness == theta, name
 
     def test_lazy_witness_matches_oracle_over_function_field(self, symbolic_restrictions):
         M = symbolic_restrictions["family13"]
@@ -381,6 +488,86 @@ class TestDegreeLoopOracle:
         assert (pair.e1, pair.e2) == (1, 3) == oracle_multi_exponents(M)[:2]
         assert [d for d, _ in pair.certificate] == [0]
         assert pair._witness is not None and pair.witness.degree == 1
+
+
+def random_system(rng, ctx, nrows, ncols):
+    """Small seeded entries with many zeros; each of a zero row, a zero
+    column, a row that is a combination of two others and a column that is
+    a combination of two others is forced with probability 1/2."""
+
+    def entry():
+        if rng.random() < 0.4:
+            return ctx.zero()
+        a = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        b = Fraction(rng.randint(-3, 3), rng.randint(1, 2)) if ctx.disc else 0
+        return QuadElem(ctx, a, b)
+
+    rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    if nrows >= 3 and rng.random() < 0.5:
+        i, j, k = rng.sample(range(nrows), 3)
+        x, y = entry(), entry()
+        rows[k] = [x * a + y * b for a, b in zip(rows[i], rows[j])]
+    if ncols >= 3 and rng.random() < 0.5:
+        i, j, k = rng.sample(range(ncols), 3)
+        x, y = entry(), entry()
+        for row in rows:
+            row[k] = x * row[i] + y * row[j]
+    if nrows and rng.random() < 0.5:
+        rows[rng.randrange(nrows)] = [ctx.zero()] * ncols
+    if rng.random() < 0.5:
+        k = rng.randrange(ncols)
+        for row in rows:
+            row[k] = ctx.zero()
+    return rows
+
+
+class TestEliminatorAgainstOracles:
+    """freeness._kernel_vector (forward elimination, back substitution)
+    against the Gauss-Jordan and Bareiss oracles kept above: with the same
+    pivot rule and normalisation the kernel vector is unique, so the vectors
+    must be equal, not merely proportional."""
+
+    @pytest.mark.parametrize("A", catalog_and_fibres(), ids=CASE_IDS)
+    def test_every_restriction_system(self, A):
+        ctx = A.ctx
+        for h in range(len(A)):
+            M = ziegler_restriction(A, h)
+            for d in range(M.total // 2 + 1):
+                rows = freeness._system(ctx, M.forms, M.mult, d)
+                n = 2 * (d + 1)
+                assert freeness._kernel_vector(ctx, rows, n) == oracle_kernel_vector(
+                    ctx, rows, n
+                ), (h, d)
+
+    @pytest.mark.parametrize("disc", [None, 5, -3, -1], ids=["Q", "sqrt5", "sqrt-3", "i"])
+    def test_seeded_random_systems(self, disc):
+        ctx = FieldCtx(disc)
+        rng = random.Random(1300 + (disc or 0))
+        outcomes = set()
+        for _ in range(150):
+            ncols = rng.randint(1, 7)
+            rows = random_system(rng, ctx, rng.randint(0, ncols + 3), ncols)
+            vec = freeness._kernel_vector(ctx, rows, ncols)
+            assert vec == oracle_kernel_vector(ctx, rows, ncols), rows
+            if vec is not None:
+                assert not all(x.is_zero() for x in vec)
+                for row in rows:
+                    assert sum((a * x for a, x in zip(row, vec)), ctx.zero()).is_zero()
+            outcomes.add((vec is None, len(rows) < ncols))
+        # full rank and a kernel each occur on square or tall systems
+        assert {(True, False), (False, False), (False, True)} <= outcomes
+
+    def test_symbolic_restrictions_against_bareiss(self, symbolic_restrictions):
+        for name, M in symbolic_restrictions.items():
+            ctx = M.ctx
+            for d in range(M.total // 2 + 1):
+                rows = freeness._system(ctx, M.forms, M.mult, d)
+                vec = oracle_kernel_vector_parametric(ctx, rows, 2 * (d + 1))
+                expected = (
+                    None if vec is None else Derivation2(tuple(vec[: d + 1]), tuple(vec[d + 1 :]))
+                )
+                assert freeness._derivation_at(M, d) == expected, (name, d)
+            assert expected is not None, name
 
 
 class TestSpecialisationCertificate:
