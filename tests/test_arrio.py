@@ -116,7 +116,16 @@ UNSAFE_TEXTS = [
 ]
 NESTED_LEVELS = [2, 15, 25, 30]
 # the parameter examples of README "Command line"
-README_PARAMS = ["3", "-1/2", "0.5", "sqrt(-1)", "I", "(1+sqrt(5))/2", "1/2+(-3/2)*sqrt(5)", "8/(5/4-sqrt(8))"]
+README_PARAMS = [
+    "3",
+    "-1/2",
+    "0.5",
+    "sqrt(-1)",
+    "I",
+    "(1+sqrt(5))/2",
+    "1/2+(-3/2)*sqrt(5)",
+    "8/(5/4-sqrt(8))",
+]
 
 
 def _nested_sqrt(levels: int) -> str:
